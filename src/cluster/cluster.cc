@@ -30,7 +30,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
     cluster->options_.worker.raft.registry = cluster->registry_;
   }
   cluster->monitor_cells_.BindTo(cluster->registry_);
-  cluster->scatter_cells_.BindTo(cluster->registry_);
+  cluster->query_cells_.BindTo(cluster->options_.engine.registry);
   cluster->availability_cells_.BindTo(cluster->registry_);
   // Shard/worker routing counters: the universe is fixed at deployment
   // time, so the cells are pre-resolved and the write path indexes a
@@ -546,14 +546,6 @@ void Cluster::MonitorCells::BindTo(metrics::MetricRegistry* registry) {
   total_cycle_us = registry->Gauge("monitor.total_cycle_us");
 }
 
-void Cluster::ScatterCells::BindTo(metrics::MetricRegistry* registry) {
-  queries = registry->Counter("cluster.scatter.queries");
-  rows_matched = registry->Counter("cluster.scatter.rows_matched");
-  realtime_rows = registry->Counter("cluster.scatter.realtime_rows");
-  logblocks_total = registry->Counter("cluster.scatter.logblocks_total");
-  logblocks_pruned = registry->Counter("cluster.scatter.logblocks_pruned");
-}
-
 void Cluster::AvailabilityCells::BindTo(metrics::MetricRegistry* registry) {
   write_attempts = registry->Counter("cluster.availability.write_attempts");
   write_successes = registry->Counter("cluster.availability.write_successes");
@@ -727,50 +719,50 @@ Status Cluster::CollectRealtime(
 }
 
 Result<query::QueryResult> Cluster::Query(const query::LogQuery& query) {
+  // Blocks follow placement: each LogBlock belongs to a shard by content
+  // hash of its object key (stable across failovers), and the shard's
+  // CURRENT worker serves it, so a failed-over worker's read load moves with
+  // its shards.
+  Result<query::QueryResult> result = Read(
+      query,
+      [](const logblock::LogBlockEntry& block,
+         const Controller::PlacementView& placement,
+         const std::vector<std::shared_ptr<query::QueryEngine>>& engines)
+          -> Result<query::QueryEngine*> {
+        const uint32_t num_shards =
+            static_cast<uint32_t>(placement.shard_to_worker.size());
+        const uint32_t shard =
+            static_cast<uint32_t>(Hash64(block.object_key) % num_shards);
+        const uint32_t owner = placement.shard_to_worker[shard];
+        const bool alive = owner < placement.worker_alive.size() &&
+                           placement.worker_alive[owner];
+        if (!alive || owner >= engines.size() || engines[owner] == nullptr) {
+          // The owning worker died and its shards have not been reassigned
+          // yet. A retryable condition, exactly like the write path's.
+          return Status::Unavailable(
+              "worker " + std::to_string(owner) + " owning shard " +
+              std::to_string(shard) +
+              " is dead; retry after the control cycle");
+        }
+        return engines[owner].get();
+      });
   // Availability accounting lives on the public dispatcher only —
-  // QuerySingleEngine called directly (the tests' ground-truth diff path)
-  // stays out of the denominator.
-  Result<query::QueryResult> result = options_.scatter_reads
-                                          ? ScatterQuery(query)
-                                          : QuerySingleEngine(query);
+  // QuerySingleEngine stays out of the denominator.
   availability_cells_.RecordQuery(result.status());
   return result;
 }
 
 Result<query::QueryResult> Cluster::QuerySingleEngine(
     const query::LogQuery& query) {
-  const uint64_t seq = control_seq_.load(std::memory_order_acquire);
-  if (seq % 2 != 0) {
-    return Status::Unavailable("control mutation in progress; retry");
-  }
-  const Controller::PlacementView placement = controller_->PlacementSnapshot();
-  std::vector<std::shared_ptr<Worker>> workers;
-  SnapshotEndpoints(&workers, nullptr);
-
-  // Archived data from the object store, on the broker's own engine.
-  auto result = engine_->Execute(query, *controller_->metadata());
-  if (!result.ok()) return result.status();
-
-  // Merge the real-time stores: rows not yet archived, in the same
-  // deterministic placement-independent order the scatter path uses.
-  std::vector<std::pair<uint32_t, logblock::RowBatch>> batches;
-  LOGSTORE_RETURN_IF_ERROR(
-      CollectRealtime(query, workers, placement, &batches));
-  LOGSTORE_RETURN_IF_ERROR(
-      query::MergeRealtimeRows(std::move(batches), query, &result.value()));
-
-  // Read fencing (the §12 analogue of the write-side epoch check): if the
-  // placement moved or a control mutation overlapped this read, parts of it
-  // may predate the change and parts postdate it. Refuse; the client
-  // retries against the settled state.
-  if (controller_->placement_epoch() != placement.epoch ||
-      control_seq_.load(std::memory_order_acquire) != seq) {
-    return Status::Unavailable("placement changed during the read; retry");
-  }
-  return result;
+  return Read(query,
+              [this](const logblock::LogBlockEntry&,
+                     const Controller::PlacementView&,
+                     const std::vector<std::shared_ptr<query::QueryEngine>>&)
+                  -> Result<query::QueryEngine*> { return engine_.get(); });
 }
 
-Result<query::QueryResult> Cluster::ScatterQuery(const query::LogQuery& query) {
+Result<query::QueryResult> Cluster::Read(const query::LogQuery& query,
+                                         const EngineChooser& choose_engine) {
   const int64_t start_us = SystemClock::Default()->NowMicros();
   const uint64_t seq = control_seq_.load(std::memory_order_acquire);
   if (seq % 2 != 0) {
@@ -781,86 +773,15 @@ Result<query::QueryResult> Cluster::ScatterQuery(const query::LogQuery& query) {
   std::vector<std::shared_ptr<query::QueryEngine>> engines;
   SnapshotEndpoints(&workers, &engines);
 
+  // The archived blocks: one fragment per chosen engine, merged in global
+  // block-map order.
   query::QueryResult result;
-  const logblock::LogBlockMap* map = controller_->metadata();
-  const auto all_blocks = map->TenantBlocks(query.tenant_id);
-  const auto blocks = map->Prune(query.tenant_id, query.ts_min, query.ts_max);
-  result.stats.logblocks_total = all_blocks.size();
-  result.stats.logblocks_pruned = all_blocks.size() - blocks.size();
-
-  // Partition the pruned list by owning worker: each LogBlock belongs to a
-  // shard by content hash of its object key (stable across failovers), and
-  // the shard's CURRENT worker — from the placement snapshot — serves it.
-  // Blocks follow placement, so a failed-over worker's read load moves
-  // with its shards.
-  struct Fragment {
-    std::vector<logblock::LogBlockEntry> blocks;
-    std::vector<size_t> tags;  // global block-map indices
-  };
-  std::map<uint32_t, Fragment> fragments;
-  const uint32_t num_shards =
-      static_cast<uint32_t>(placement.shard_to_worker.size());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const uint32_t shard =
-        static_cast<uint32_t>(Hash64(blocks[i].object_key) % num_shards);
-    const uint32_t owner = placement.shard_to_worker[shard];
-    const bool alive =
-        owner < placement.worker_alive.size() && placement.worker_alive[owner];
-    if (!alive || owner >= engines.size() || engines[owner] == nullptr) {
-      // The owning worker died and its shards have not been reassigned
-      // yet. A retryable condition, exactly like the write path's.
-      return Status::Unavailable(
-          "worker " + std::to_string(owner) + " owning shard " +
-          std::to_string(shard) + " is dead; retry after the control cycle");
-    }
-    Fragment& fragment = fragments[owner];
-    fragment.blocks.push_back(blocks[i]);
-    fragment.tags.push_back(i);
-  }
-
-  // Scatter: each owner executes its fragment on its own engine, under one
-  // shared cancel flag and one GLOBAL limit tracker, so the §11 limit /
-  // error / determinism contracts hold across the whole block list exactly
-  // as they do inside a single engine.
-  std::vector<query::FragmentSlot> slots(blocks.size());
-  std::atomic<bool> cancel{false};
-  // Aggregates scan every block, so the limit never arms the tracker.
-  query::ScatterLimitTracker tracker(
-      blocks.size(), query.is_aggregate() ? 0 : query.limit, &cancel);
-  auto run_fragment = [&](uint32_t owner, Fragment& fragment) {
-    query::FragmentOptions fragment_options;
-    fragment_options.cancel = &cancel;
-    fragment_options.tags = fragment.tags;
-    fragment_options.on_block_done =
-        [&tracker](size_t tag, const query::FragmentSlot& slot) {
-          tracker.OnBlockDone(tag, slot);
-        };
-    std::vector<query::FragmentSlot> fragment_slots =
-        engines[owner]->ExecuteFragment(query, fragment.blocks,
-                                        fragment_options);
-    for (size_t j = 0; j < fragment_slots.size(); ++j) {
-      slots[fragment.tags[j]] = std::move(fragment_slots[j]);
-    }
-  };
-  if (fragments.size() <= 1) {
-    for (auto& [owner, fragment] : fragments) run_fragment(owner, fragment);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(fragments.size());
-    for (auto it = fragments.begin(); it != fragments.end(); ++it) {
-      threads.emplace_back(
-          [&run_fragment, it] { run_fragment(it->first, it->second); });
-    }
-    for (auto& thread : threads) thread.join();
-  }
-
-  LOGSTORE_RETURN_IF_ERROR(
-      query::QueryEngine::MergeFragmentSlots(query, slots, &result));
-  // Aggregate queries keep the merged per-block rows_matched (ALL matching
-  // rows; no result rows exist to recount from).
-  if (!query.is_aggregate()) {
-    result.stats.exec.rows_matched = result.rows.size();
-  }
+  LOGSTORE_RETURN_IF_ERROR(query::QueryEngine::RunFragments(
+      query, *controller_->metadata(),
+      [&](const logblock::LogBlockEntry& block) {
+        return choose_engine(block, placement, engines);
+      },
+      &result));
 
   // Real-time rows from the live workers, merged after the archived rows
   // in the deterministic placement-independent order.
@@ -870,25 +791,16 @@ Result<query::QueryResult> Cluster::ScatterQuery(const query::LogQuery& query) {
   LOGSTORE_RETURN_IF_ERROR(
       query::MergeRealtimeRows(std::move(batches), query, &result));
 
-  // Read fencing: any placement move or control mutation since the
-  // snapshot invalidates the result — some fragments/realtime scans may
-  // reflect the old world and some the new. Retryable, never partial.
+  // Read fencing (the §12 analogue of the write-side epoch check): any
+  // placement move or control mutation since the snapshot invalidates the
+  // result — some fragments/realtime scans may reflect the old world and
+  // some the new. Retryable, never partial.
   if (controller_->placement_epoch() != placement.epoch ||
       control_seq_.load(std::memory_order_acquire) != seq) {
     return Status::Unavailable("placement changed during the read; retry");
   }
   result.stats.elapsed_us = SystemClock::Default()->NowMicros() - start_us;
-  // Scatter-path registry aggregates: the broker engine's own query.*
-  // counters only see QuerySingleEngine, so scattered reads account here.
-  scatter_cells_.queries->fetch_add(1, std::memory_order_relaxed);
-  scatter_cells_.rows_matched->fetch_add(result.stats.exec.rows_matched,
-                                         std::memory_order_relaxed);
-  scatter_cells_.realtime_rows->fetch_add(result.stats.realtime_rows,
-                                          std::memory_order_relaxed);
-  scatter_cells_.logblocks_total->fetch_add(result.stats.logblocks_total,
-                                            std::memory_order_relaxed);
-  scatter_cells_.logblocks_pruned->fetch_add(result.stats.logblocks_pruned,
-                                             std::memory_order_relaxed);
+  query_cells_.Record(result.stats);
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <thread>
@@ -32,11 +33,6 @@ struct ClusterDeploymentOptions {
   WorkerOptions worker;
   ControllerOptions controller;
   query::EngineOptions engine;
-  // Distributed reads (§12): fan each query out across the workers whose
-  // shards own its LogBlocks and merge broker-side. false falls back to the
-  // single-broker-engine path (QuerySingleEngine), kept as ground truth —
-  // the two are byte-identical by contract.
-  bool scatter_reads = true;
   // Cluster-wide execution-slot budget shared by the broker engine and
   // every worker engine. 0 = 2 * engine.query_threads (the fleet can run
   // two engines' worth of block scans at once before queueing starts).
@@ -102,9 +98,9 @@ class Cluster {
   // result.
   Result<query::QueryResult> Query(const query::LogQuery& query);
 
-  // Ground-truth read path: one broker-side engine over the full LogBlock
-  // list, same realtime merge, same fencing. The scatter path must return
-  // identical bytes; tests diff the two.
+  // The same read with every LogBlock in one fragment on the broker's own
+  // engine: same merge, realtime rows and fencing, so its bytes must equal
+  // Query's whatever the placement. Not counted in the availability cells.
   Result<query::QueryResult> QuerySingleEngine(const query::LogQuery& query);
 
   // Background tasks, invoked by tests/benches instead of timers.
@@ -274,8 +270,19 @@ class Cluster {
       const Controller::PlacementView& placement,
       std::vector<std::pair<uint32_t, logblock::RowBatch>>* batches);
 
-  // The scatter/gather read path behind Query().
-  Result<query::QueryResult> ScatterQuery(const query::LogQuery& query);
+  // Picks the engine that scans one pruned LogBlock from the read's
+  // placement and worker-engine snapshots; kUnavailable when none may.
+  using EngineChooser = std::function<Result<query::QueryEngine*>(
+      const logblock::LogBlockEntry& block,
+      const Controller::PlacementView& placement,
+      const std::vector<std::shared_ptr<query::QueryEngine>>& engines)>;
+
+  // The one read path behind Query and QuerySingleEngine: snapshots the
+  // control seqlock, placement and endpoints, runs the archived blocks
+  // through QueryEngine::RunFragments with `choose_engine`, merges the
+  // realtime rows, re-checks the fence and records `query.*`.
+  Result<query::QueryResult> Read(const query::LogQuery& query,
+                                  const EngineChooser& choose_engine);
 
   // Write() body; the public wrapper classifies the outcome into the
   // cluster.availability.* cells on every exit path.
@@ -343,8 +350,8 @@ class Cluster {
   std::vector<int64_t> last_shard_rows_;
   std::vector<int64_t> last_worker_rows_;
 
-  // Registry mirrors of MonitorStats (monitor.*) and the scatter-read
-  // aggregates (cluster.scatter.*), dual-written at the accounting points.
+  // Registry mirror of MonitorStats (monitor.*), dual-written at the
+  // accounting points.
   struct MonitorCells {
     std::atomic<uint64_t>* cycles = nullptr;
     std::atomic<uint64_t>* cycle_errors = nullptr;
@@ -360,15 +367,8 @@ class Cluster {
     void BindTo(metrics::MetricRegistry* registry);
   };
   MonitorCells monitor_cells_;
-  struct ScatterCells {
-    std::atomic<uint64_t>* queries = nullptr;
-    std::atomic<uint64_t>* rows_matched = nullptr;
-    std::atomic<uint64_t>* realtime_rows = nullptr;
-    std::atomic<uint64_t>* logblocks_total = nullptr;
-    std::atomic<uint64_t>* logblocks_pruned = nullptr;
-    void BindTo(metrics::MetricRegistry* registry);
-  };
-  ScatterCells scatter_cells_;
+  // `query.*` for cluster reads, bound to the engines' registry.
+  query::QueryCells query_cells_;
 
   // Availability accounting (cluster.availability.*): every broker write
   // and read classified at the moment it returns to the client. The soak

@@ -91,15 +91,7 @@ bool AdmissionGovernor::Acquire(uint64_t tenant,
   } watch;
 
   std::unique_lock<std::mutex> lock(mu_);
-  // Fast path: a free slot and nobody queued ahead. Skipping the queue here
-  // is fair — waiters exist only while available_ == 0, and every release
-  // hands its slot to a waiter before replenishing the pool.
-  if (available_ > 0 && waiting_.empty()) {
-    --available_;
-    ++stats_[tenant].grants;
-    CellsLocked(tenant).grants->fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+  if (TryGrantLocked(tenant)) return true;
 
   if (cancel != nullptr) {
     // Register with the broadcast before queueing; a flip that lands before
@@ -109,6 +101,10 @@ bool AdmissionGovernor::Acquire(uint64_t tenant,
     watch.flag = cancel;
     watch.governor = this;
     lock.lock();
+    // Every held slot may have been released while mu_ was dropped. With no
+    // waiter queued those releases went back to the pool, so parking now
+    // would wait beside free slots with no holder left to hand one over.
+    if (TryGrantLocked(tenant)) return true;
   }
 
   auto ticket = std::make_shared<Ticket>();
@@ -142,6 +138,17 @@ bool AdmissionGovernor::Acquire(uint64_t tenant,
   cells.queued_grants->fetch_add(1, std::memory_order_relaxed);
   cells.wait_us->fetch_add(static_cast<uint64_t>(std::max<int64_t>(waited, 0)),
                            std::memory_order_relaxed);
+  return true;
+}
+
+bool AdmissionGovernor::TryGrantLocked(uint64_t tenant) {
+  // Skipping the queue is fair: waiters exist only while available_ == 0,
+  // and every release hands its slot to a waiter before replenishing the
+  // pool.
+  if (available_ == 0 || !waiting_.empty()) return false;
+  --available_;
+  ++stats_[tenant].grants;
+  CellsLocked(tenant).grants->fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -70,7 +70,8 @@ struct AdmissionTenantStats {
 //
 // Slot holders never block on the governor (acquires are never nested), so
 // the budget cannot deadlock: every held slot is released by a block scan
-// that completes independently.
+// that completes independently, and a waiter only parks after re-checking
+// for a free slot under the mutex it parks on.
 class AdmissionGovernor {
  public:
   explicit AdmissionGovernor(int total_slots,
@@ -105,6 +106,9 @@ class AdmissionGovernor {
     std::atomic<uint64_t>* queued_grants = nullptr;
     std::atomic<uint64_t>* wait_us = nullptr;
   };
+
+  // Fast path: takes a free slot when nobody is queued ahead. mu_ held.
+  bool TryGrantLocked(uint64_t tenant);
 
   // Hands a freed slot to the next waiter or back to the pool. mu_ held.
   void PassSlotLocked();

@@ -136,30 +136,6 @@ Result<index::RowIdSet> ProbeIndex(LogBlockReader* reader,
   return Status::Internal("unreachable");
 }
 
-// Tests `bp` against one decoded value (the row-at-a-time path).
-bool EvalOnDecoded(const logblock::DecodedColumnBlock& block, uint32_t offset,
-                   const BoundPredicate& bp) {
-  switch (bp.pred.kind) {
-    case Predicate::Kind::kInt64Compare:
-      return bp.pred.EvalInt64(block.ints[offset]);
-    case Predicate::Kind::kStringEq:
-      return block.strs[offset] == bp.pred.str_value;
-    case Predicate::Kind::kMatch: {
-      // Scan fallback for MATCH: all (pre-hoisted) query tokens must appear
-      // in the value.
-      const auto value_tokens = index::Tokenize(block.strs[offset]);
-      for (const std::string& t : bp.match_tokens) {
-        if (std::find(value_tokens.begin(), value_tokens.end(), t) ==
-            value_tokens.end()) {
-          return false;
-        }
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
 // True when the parallel scheduler asked this executor to stop.
 bool Cancelled(const ExecOptions& options) {
   return options.cancel != nullptr &&
@@ -169,11 +145,9 @@ bool Cancelled(const ExecOptions& options) {
 Status CancelledStatus() { return Status::Aborted("query cancelled"); }
 
 // Evaluates one residual predicate against the candidate set by scanning
-// (and SMA-skipping) the column's blocks. Vectorized mode decodes the whole
-// block into column vectors, runs a selection-bitmap kernel over every row,
-// and ANDs the bitmap into the candidates word-wise; scalar mode probes the
-// surviving rows one at a time. Both produce the same candidate set and the
-// same scan/skip/cache stats.
+// (and SMA-skipping) the column's blocks: each surviving block is decoded
+// into column vectors, a selection-bitmap kernel runs over every row, and
+// the bitmap is ANDed into the candidates word-wise.
 Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
                      const ExecOptions& options, DecodedBlockCache* cache,
                      index::RowIdSet* candidates, BlockExecStats* stats) {
@@ -218,44 +192,34 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
     ++stats->column_blocks_scanned;
     const auto& block = col_meta.blocks[b];
 
-    if (options.use_vectorized) {
-      words.assign((block.row_count + 63) / 64, 0);
-      const auto kernel_start = std::chrono::steady_clock::now();
-      uint32_t hits = 0;
-      switch (bp.pred.kind) {
-        case Predicate::Kind::kInt64Compare:
-          hits = vectorized::FilterInt64Compare(
-              (*decoded)->ints.data(), block.row_count, bp.pred.op,
-              bp.pred.int_value, words.data());
-          break;
-        case Predicate::Kind::kStringEq:
-          hits = vectorized::FilterStringEq((*decoded)->strs.data(),
-                                            block.row_count, bp.pred.str_value,
-                                            words.data());
-          break;
-        case Predicate::Kind::kMatch:
-          hits = vectorized::FilterMatchTokens((*decoded)->strs.data(),
-                                               block.row_count,
-                                               bp.match_tokens, words.data());
-          break;
-      }
-      stats->vectorized_kernel_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - kernel_start)
-              .count());
-      stats->vectorized_rows_scanned += block.row_count;
-      stats->vectorized_bitmap_hits += hits;
-      candidates->IntersectBitmap(block.first_row, words.data(),
-                                  block.row_count);
-    } else {
-      for (uint32_t r = block.first_row;
-           r < block.first_row + block.row_count; ++r) {
-        if (candidates->Contains(r) &&
-            !EvalOnDecoded(**decoded, r - block.first_row, bp)) {
-          candidates->Remove(r);
-        }
-      }
+    words.assign((block.row_count + 63) / 64, 0);
+    const auto kernel_start = std::chrono::steady_clock::now();
+    uint32_t hits = 0;
+    switch (bp.pred.kind) {
+      case Predicate::Kind::kInt64Compare:
+        hits = vectorized::FilterInt64Compare((*decoded)->ints.data(),
+                                              block.row_count, bp.pred.op,
+                                              bp.pred.int_value, words.data());
+        break;
+      case Predicate::Kind::kStringEq:
+        hits = vectorized::FilterStringEq((*decoded)->strs.data(),
+                                          block.row_count, bp.pred.str_value,
+                                          words.data());
+        break;
+      case Predicate::Kind::kMatch:
+        hits = vectorized::FilterMatchTokens((*decoded)->strs.data(),
+                                             block.row_count, bp.match_tokens,
+                                             words.data());
+        break;
     }
+    stats->vectorized_kernel_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - kernel_start)
+            .count());
+    stats->vectorized_rows_scanned += block.row_count;
+    stats->vectorized_bitmap_hits += hits;
+    candidates->IntersectBitmap(block.first_row, words.data(),
+                                block.row_count);
   }
   return Status::OK();
 }
@@ -307,8 +271,6 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
     (void)reader->Prefetch(ranges, options.prefetch_owner);
   }
 
-  // Ascending-row iteration in both execution modes, so int64 sums wrap
-  // identically and the partial is byte-stable.
   std::map<std::string, uint64_t> group_counts;
   for (size_t b : to_scan) {
     if (Cancelled(options)) return CancelledStatus();

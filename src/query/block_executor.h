@@ -29,10 +29,6 @@ struct ExecOptions {
   // scheduler uses this for limit-aware early termination and to drain
   // in-flight work after another block failed.
   const std::atomic<bool>* cancel = nullptr;
-  // Residual predicates run as selection-bitmap kernels over whole decoded
-  // column vectors (§15) instead of the row-at-a-time probe loop. Output is
-  // byte-identical either way; this only changes how the scan executes.
-  bool use_vectorized = true;
 };
 
 struct BlockExecStats {
@@ -47,9 +43,8 @@ struct BlockExecStats {
   // re-read and re-decoded (a second predicate or the gather touching a
   // column block the residual scan already decoded).
   uint64_t decode_cache_hits = 0;
-  // Vectorized-kernel accounting (zero on the row-at-a-time path). The
-  // first two are deterministic; kernel_ns is wall clock and MUST stay out
-  // of byte-equality comparisons.
+  // Filter-kernel accounting. The first two are deterministic; kernel_ns is
+  // wall clock and MUST stay out of byte-equality comparisons.
   uint64_t vectorized_rows_scanned = 0;  // rows run through filter kernels
   uint64_t vectorized_bitmap_hits = 0;   // selected bits across all kernels
   uint64_t vectorized_kernel_ns = 0;

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "prefetch/cached_source.h"
 
@@ -162,36 +163,111 @@ Status MergeRealtimeRows(
   return Status::OK();
 }
 
-ScatterLimitTracker::ScatterLimitTracker(size_t num_blocks, uint32_t limit,
-                                         std::atomic<bool>* cancel)
-    : limit_(limit),
-      cancel_(cancel),
-      done_(num_blocks, 0),
-      rows_(num_blocks, 0) {}
+// One block's outcome within a read. `status` is Aborted when the block was
+// cooperatively cancelled (limit secured, a peer's real error, or
+// cancellation while queued for an admission slot) — Aborted never escapes
+// the merge.
+struct FragmentSlot {
+  Status status;
+  bool ran = false;  // true iff `exec` holds a real result
+  BlockExecResult exec;
+  std::vector<std::string> columns;  // schema names (select list empty)
+};
 
-void ScatterLimitTracker::OnBlockDone(size_t index, const FragmentSlot& slot) {
-  if (limit_ == 0) return;  // unlimited: nothing to secure
-  std::lock_guard<std::mutex> lock(mu_);
-  done_[index] = 1;
-  if (slot.ran) rows_[index] = slot.exec.rows.size();
-  while (prefix_len_ < done_.size() && done_[prefix_len_] != 0) {
-    prefix_rows_ += rows_[prefix_len_];
-    ++prefix_len_;
+// Fires the shared cancel flag once the limit is secured in completed-
+// prefix order across ALL fragments of one read — the §11 rule ("every
+// block before the cut is done and already supplies `limit` rows") applied
+// to global block indices, so a cancel never aborts a block the merge will
+// reach before the limit cut.
+class ScatterLimitTracker {
+ public:
+  ScatterLimitTracker(size_t num_blocks, uint32_t limit,
+                      std::atomic<bool>* cancel)
+      : limit_(limit),
+        cancel_(cancel),
+        done_(num_blocks, 0),
+        rows_(num_blocks, 0) {}
+
+  void OnBlockDone(size_t index, const FragmentSlot& slot) {
+    if (limit_ == 0) return;  // unlimited: nothing to secure
+    std::lock_guard<std::mutex> lock(mu_);
+    done_[index] = 1;
+    if (slot.ran) rows_[index] = slot.exec.rows.size();
+    while (prefix_len_ < done_.size() && done_[prefix_len_] != 0) {
+      prefix_rows_ += rows_[prefix_len_];
+      ++prefix_len_;
+    }
+    if (prefix_rows_ >= limit_) {
+      // Limit secured in completed-prefix order across every fragment: all
+      // in-flight work has a strictly higher global block index, provably
+      // beyond the limit cut. Never fires speculatively. SignalCancel also
+      // wakes any peer block parked in the admission governor on this flag.
+      SignalCancel(cancel_);
+    }
   }
-  if (prefix_rows_ >= limit_) {
-    // Limit secured in completed-prefix order across every fragment: all
-    // in-flight work has a strictly higher global block index, provably
-    // beyond the limit cut. Never fires speculatively. SignalCancel also
-    // wakes any peer block parked in the admission governor on this flag.
-    SignalCancel(cancel_);
+
+ private:
+  const uint32_t limit_;
+  std::atomic<bool>* cancel_;
+  std::mutex mu_;
+  std::vector<char> done_;
+  std::vector<uint64_t> rows_;  // per-block matched-row counts
+  size_t prefix_len_ = 0;       // blocks [0, prefix_len_) all completed
+  uint64_t prefix_rows_ = 0;    // rows matched inside that prefix
+};
+
+namespace {
+
+// Deterministic merge of a read's slots in block-map order, trimming at the
+// limit. `slots` is consumed.
+Status MergeFragmentSlots(const LogQuery& query,
+                          std::vector<FragmentSlot>& slots,
+                          QueryResult* result) {
+  const size_t n = slots.size();
+  for (size_t i = 0; i < n; ++i) {
+    FragmentSlot& slot = slots[i];
+    if (!slot.ran) {
+      // This block failed, or was cooperatively aborted after a later
+      // block's real failure triggered cancellation (a limit-triggered
+      // cancel never aborts a block the merge reaches before the limit
+      // cut). Either way, report the lowest-index real error.
+      for (size_t j = i; j < n; ++j) {
+        if (!slots[j].status.ok() && !slots[j].status.IsAborted()) {
+          return slots[j].status;
+        }
+      }
+      return slot.status;  // defensive: all-aborted cannot happen
+    }
+    if (result->columns.empty()) {
+      if (query.select_columns.empty()) {
+        result->columns = slot.columns;
+      } else {
+        result->columns = query.select_columns;
+      }
+    }
+    if (slot.exec.stats.skipped_by_column_sma) {
+      ++result->stats.logblocks_sma_skipped;
+    }
+    result->stats.exec.MergeFrom(slot.exec.stats);
+    // Partial aggregates combine across every slot; aggregate slots carry
+    // no rows, so the limit cut below never ends this loop early for them.
+    result->agg.MergeFrom(slot.exec.agg);
+    for (auto& row : slot.exec.rows) {
+      if (query.limit != 0 && result->rows.size() >= query.limit) break;
+      result->rows.push_back(std::move(row));
+    }
+    if (query.limit != 0 && result->rows.size() >= query.limit) break;
   }
+  return Status::OK();
 }
+
+}  // namespace
 
 QueryEngine::QueryEngine(objectstore::ObjectStore* store,
                          const EngineOptions& options)
     : store_(store), options_(options) {}
 
-void QueryEngine::QueryCells::BindTo(metrics::MetricRegistry* registry) {
+void QueryCells::BindTo(metrics::MetricRegistry* registry) {
   queries = registry->Counter("query.queries");
   rows_matched = registry->Counter("query.rows_matched");
   realtime_rows = registry->Counter("query.realtime_rows");
@@ -207,7 +283,7 @@ void QueryEngine::QueryCells::BindTo(metrics::MetricRegistry* registry) {
   vectorized_kernel_ns = registry->Counter("query.vectorized.kernel_ns");
 }
 
-void QueryEngine::QueryCells::Record(const QueryStats& stats) const {
+void QueryCells::Record(const QueryStats& stats) const {
   if (queries == nullptr) return;
   const auto order = std::memory_order_relaxed;
   queries->fetch_add(1, order);
@@ -301,117 +377,103 @@ Result<QueryResult> QueryEngine::Execute(const LogQuery& query,
                                          const logblock::LogBlockMap& map) {
   const int64_t start_us = SystemClock::Default()->NowMicros();
   QueryResult result;
-
-  // Figure 8 step 1: prune via the LogBlock map on <tenant, min_ts, max_ts>.
-  const auto all_blocks = map.TenantBlocks(query.tenant_id);
-  const auto blocks = map.Prune(query.tenant_id, query.ts_min, query.ts_max);
-  result.stats.logblocks_total = all_blocks.size();
-  result.stats.logblocks_pruned = all_blocks.size() - blocks.size();
-
-  Status status;
-  if (query_pool_ != nullptr && blocks.size() > 1) {
-    status = ExecuteParallel(query, blocks, &result);
-  } else {
-    ExecOptions exec_options;
-    exec_options.use_data_skipping = options_.use_data_skipping;
-    exec_options.use_prefetch = options_.use_cache && options_.use_prefetch;
-    exec_options.use_vectorized = options_.use_vectorized;
-    // Distinct owner per query: the prefetch service schedules pending runs
-    // round-robin across owners, so one wide scan cannot starve others.
-    exec_options.prefetch_owner =
-        next_query_owner_.fetch_add(1, std::memory_order_relaxed);
-    status = ExecuteSerial(query, blocks, exec_options, &result);
-  }
-  if (!status.ok()) return status;
-
-  // Aggregate queries keep the merged per-block rows_matched (ALL matching
-  // rows; there are no result rows to count). Row queries recount from the
-  // final row set because per-block counts may overshoot the limit cut.
-  if (!query.is_aggregate()) {
-    result.stats.exec.rows_matched = result.rows.size();
-  }
+  LOGSTORE_RETURN_IF_ERROR(RunFragments(
+      query, map,
+      [this](const logblock::LogBlockEntry&) -> Result<QueryEngine*> {
+        return this;
+      },
+      &result));
   result.stats.elapsed_us = SystemClock::Default()->NowMicros() - start_us;
   query_cells_.Record(result.stats);
   return result;
 }
 
-Status QueryEngine::ExecuteSerial(
-    const LogQuery& query, const std::vector<logblock::LogBlockEntry>& blocks,
-    const ExecOptions& exec_options, QueryResult* result) {
-  for (const logblock::LogBlockEntry& entry : blocks) {
-    AdmissionSlot slot;
-    if (options_.admission != nullptr) {
-      options_.admission->Acquire(query.tenant_id);
-      slot = AdmissionSlot(options_.admission);
-    }
-    auto reader = OpenReader(entry.object_key);
-    if (!reader.ok()) return reader.status();
+Status QueryEngine::RunFragments(const LogQuery& query,
+                                 const logblock::LogBlockMap& map,
+                                 const EngineChooser& choose_engine,
+                                 QueryResult* result) {
+  // Figure 8 step 1: prune via the LogBlock map on <tenant, min_ts, max_ts>.
+  const auto all_blocks = map.TenantBlocks(query.tenant_id);
+  const auto blocks = map.Prune(query.tenant_id, query.ts_min, query.ts_max);
+  result->stats.logblocks_total = all_blocks.size();
+  result->stats.logblocks_pruned = all_blocks.size() - blocks.size();
 
-    // Resolve output column names from the first opened reader (all blocks
-    // of a tenant table share the schema) instead of re-opening blocks[0]
-    // after the scan.
-    if (result->columns.empty()) {
-      if (query.select_columns.empty()) {
-        for (const auto& col : (*reader)->schema().columns()) {
-          result->columns.push_back(col.name);
-        }
-      } else {
-        result->columns = query.select_columns;
-      }
-    }
-
-    // Execute with the query's full limit, never a remaining count: per-
-    // block evaluation stays limit-chain-independent, so every per-block
-    // stat (including the gather's decode_cache_hits) is bit-equal to the
-    // same block under the parallel scheduler. The trim below restores the
-    // limit cut over the concatenated map-order rows.
-    auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
-    if (!exec.ok()) return exec.status();
-    if (exec->stats.skipped_by_column_sma) {
-      ++result->stats.logblocks_sma_skipped;
-    }
-    result->stats.exec.MergeFrom(exec->stats);
-    result->agg.MergeFrom(exec->agg);
-    for (auto& row : exec->rows) result->rows.push_back(std::move(row));
-
-    // An aggregate covers all matching rows: the limit never stops the
-    // scan (result rows stay empty, so this break cannot fire for it).
-    if (query.limit != 0 && !query.is_aggregate() &&
-        result->rows.size() >= query.limit) {
-      break;
-    }
+  struct Fragment {
+    std::vector<logblock::LogBlockEntry> blocks;
+    std::vector<size_t> tags;  // global block-map indices
+  };
+  std::map<QueryEngine*, Fragment> fragments;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    auto engine = choose_engine(blocks[i]);
+    if (!engine.ok()) return engine.status();
+    Fragment& fragment = fragments[*engine];
+    fragment.blocks.push_back(blocks[i]);
+    fragment.tags.push_back(i);
   }
-  if (query.limit != 0 && result->rows.size() > query.limit) {
-    result->rows.resize(query.limit);
+
+  // Every fragment runs under one shared cancel flag and one GLOBAL limit
+  // tracker and writes its blocks' slots at their global indices, so the
+  // §11 limit / error / determinism contracts hold across the whole block
+  // list however it was partitioned. Aggregates scan every block, so the
+  // limit never arms the tracker.
+  std::vector<FragmentSlot> slots(blocks.size());
+  std::atomic<bool> cancel{false};
+  ScatterLimitTracker tracker(blocks.size(),
+                              query.is_aggregate() ? 0 : query.limit, &cancel);
+  auto run_fragment = [&](QueryEngine* engine, const Fragment& fragment) {
+    engine->ExecuteFragment(query, fragment.blocks, fragment.tags, &cancel,
+                            &tracker, &slots);
+  };
+  if (fragments.size() <= 1) {
+    for (auto& [engine, fragment] : fragments) run_fragment(engine, fragment);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(fragments.size());
+    for (auto& [engine, fragment] : fragments) {
+      threads.emplace_back(run_fragment, engine, std::cref(fragment));
+    }
+    for (auto& thread : threads) thread.join();
+  }
+
+  LOGSTORE_RETURN_IF_ERROR(MergeFragmentSlots(query, slots, result));
+  // Aggregate queries keep the merged per-block rows_matched (ALL matching
+  // rows; there are no result rows to count). Row queries recount from the
+  // final row set because per-block counts may overshoot the limit cut.
+  if (!query.is_aggregate()) {
+    result->stats.exec.rows_matched = result->rows.size();
   }
   return Status::OK();
 }
 
-std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
+void QueryEngine::ExecuteFragment(
     const LogQuery& query, const std::vector<logblock::LogBlockEntry>& blocks,
-    const FragmentOptions& fragment) {
+    const std::vector<size_t>& tags, std::atomic<bool>* cancel,
+    ScatterLimitTracker* tracker, std::vector<FragmentSlot>* slots) {
   const size_t n = blocks.size();
-  std::vector<FragmentSlot> slots(n);
-  if (n == 0) return slots;
 
   ExecOptions exec_options;
   exec_options.use_data_skipping = options_.use_data_skipping;
   exec_options.use_prefetch = options_.use_cache && options_.use_prefetch;
-  exec_options.use_vectorized = options_.use_vectorized;
   // Distinct owner per fragment: the prefetch service schedules pending
   // runs round-robin across owners, so one wide scan cannot starve others.
   exec_options.prefetch_owner =
       next_query_owner_.fetch_add(1, std::memory_order_relaxed);
-  exec_options.cancel = fragment.cancel;
+  exec_options.cancel = cancel;
 
-  // Pipelined prefetch: warm the head of upcoming objects (the tar header
-  // plus the meta member, which the writer lays out first) so opening those
-  // readers hits the cache instead of paying a cold object-store round
-  // trip. The cursor only moves forward; concurrent tasks claim disjoint
-  // ranges.
+  // Inline when there is no pool, or nothing to overlap.
+  const bool run_inline = query_pool_ == nullptr || n == 1;
+
+  // Pipelined prefetch: while the pool scans, warm the head of upcoming
+  // objects (the tar header plus the meta member, which the writer lays out
+  // first) so opening those readers hits the cache instead of paying a cold
+  // object-store round trip. The cursor only moves forward; concurrent tasks
+  // claim disjoint ranges. Inline nothing is warmed and the calling thread
+  // reads each head itself: one scan at a time gains from a warm-up only
+  // against object-store latency, while on a fast store the hand-off to a
+  // prefetch thread, and heads a limit never opens, slow it down.
   std::atomic<size_t> warm_cursor{0};
   auto warm_ahead = [&](size_t upto) {
-    if (cache_ == nullptr || !exec_options.use_prefetch) return;
+    if (run_inline || cache_ == nullptr || !exec_options.use_prefetch) return;
     upto = std::min(upto, n);
     size_t claimed = warm_cursor.load(std::memory_order_relaxed);
     while (claimed < upto && !warm_cursor.compare_exchange_weak(
@@ -428,9 +490,8 @@ std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
   warm_ahead(lookahead);
 
   auto run_block = [&](size_t i) {
-    FragmentSlot& slot = slots[i];
-    if (fragment.cancel != nullptr &&
-        fragment.cancel->load(std::memory_order_acquire)) {
+    FragmentSlot& slot = (*slots)[tags[i]];
+    if (cancel->load(std::memory_order_acquire)) {
       slot.status = Status::Aborted("query cancelled");
     } else {
       // Every block scan holds one cluster-wide execution slot: the shared
@@ -439,8 +500,7 @@ std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
       AdmissionSlot admission;
       bool admitted = true;
       if (options_.admission != nullptr) {
-        admitted = options_.admission->Acquire(query.tenant_id,
-                                               fragment.cancel);
+        admitted = options_.admission->Acquire(query.tenant_id, cancel);
         if (admitted) admission = AdmissionSlot(options_.admission);
       }
       if (!admitted) {
@@ -460,8 +520,7 @@ std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
           // Execute with the query's full limit: per-block evaluation is
           // limit-independent up to the final row trim, so concatenating
           // the per-block results in map order and trimming once at merge
-          // time is byte-identical to the serial path (which runs blocks
-          // with the same full limit and trims the same way).
+          // time gives the same bytes for any thread count or placement.
           auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
           if (exec.ok()) {
             slot.ran = true;
@@ -473,24 +532,20 @@ std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
       }
     }
 
-    if (!slot.status.ok() && !slot.status.IsAborted() &&
-        fragment.cancel != nullptr) {
+    if (!slot.status.ok() && !slot.status.IsAborted()) {
       // Real failure: stop feeding IO to in-flight tasks — of EVERY
       // fragment of this query. The merge still reports the lowest-index
       // real error deterministically. SignalCancel wakes admission waiters
       // parked on this flag so they abandon the queue immediately.
-      SignalCancel(fragment.cancel);
+      SignalCancel(cancel);
     }
-    if (fragment.on_block_done) {
-      const size_t tag = fragment.tags.empty() ? i : fragment.tags[i];
-      fragment.on_block_done(tag, slot);
-    }
+    tracker->OnBlockDone(tags[i], slot);
   };
 
-  if (query_pool_ == nullptr) {
-    // No pool: the fragment runs inline, serially, same contract.
+  if (run_inline) {
+    // Same contract, on the calling thread, in map order.
     for (size_t i = 0; i < n; ++i) run_block(i);
-    return slots;
+    return;
   }
 
   std::mutex mu;
@@ -507,66 +562,6 @@ std::vector<FragmentSlot> QueryEngine::ExecuteFragment(
     std::unique_lock<std::mutex> lock(mu);
     done_cv.wait(lock, [&] { return pending == 0; });
   }
-  return slots;
-}
-
-Status QueryEngine::MergeFragmentSlots(const LogQuery& query,
-                                       std::vector<FragmentSlot>& slots,
-                                       QueryResult* result) {
-  // Deterministic merge in LogBlock-map order, trimming at the limit.
-  const size_t n = slots.size();
-  for (size_t i = 0; i < n; ++i) {
-    FragmentSlot& slot = slots[i];
-    if (!slot.ran) {
-      // This block failed, or was cooperatively aborted after a later
-      // block's real failure triggered cancellation (a limit-triggered
-      // cancel never aborts a block the merge reaches before the limit
-      // cut). Either way, report the lowest-index real error.
-      for (size_t j = i; j < n; ++j) {
-        if (!slots[j].status.ok() && !slots[j].status.IsAborted()) {
-          return slots[j].status;
-        }
-      }
-      return slot.status;  // defensive: all-aborted cannot happen
-    }
-    if (result->columns.empty()) {
-      if (query.select_columns.empty()) {
-        result->columns = slot.columns;
-      } else {
-        result->columns = query.select_columns;
-      }
-    }
-    if (slot.exec.stats.skipped_by_column_sma) {
-      ++result->stats.logblocks_sma_skipped;
-    }
-    result->stats.exec.MergeFrom(slot.exec.stats);
-    // Partial aggregates combine across every slot; aggregate slots carry
-    // no rows, so the limit cut below never ends this loop early for them.
-    result->agg.MergeFrom(slot.exec.agg);
-    for (auto& row : slot.exec.rows) {
-      if (query.limit != 0 && result->rows.size() >= query.limit) break;
-      result->rows.push_back(std::move(row));
-    }
-    if (query.limit != 0 && result->rows.size() >= query.limit) break;
-  }
-  return Status::OK();
-}
-
-Status QueryEngine::ExecuteParallel(
-    const LogQuery& query, const std::vector<logblock::LogBlockEntry>& blocks,
-    QueryResult* result) {
-  // Cooperative cancellation, shared by every block task of this query.
-  // Aggregates scan every block, so the limit never arms the tracker.
-  std::atomic<bool> cancel{false};
-  ScatterLimitTracker tracker(blocks.size(),
-                              query.is_aggregate() ? 0 : query.limit, &cancel);
-  FragmentOptions fragment;
-  fragment.cancel = &cancel;
-  fragment.on_block_done = [&tracker](size_t tag, const FragmentSlot& slot) {
-    tracker.OnBlockDone(tag, slot);
-  };
-  std::vector<FragmentSlot> slots = ExecuteFragment(query, blocks, fragment);
-  return MergeFragmentSlots(query, slots, result);
 }
 
 std::vector<logblock::Value> QueryEngine::Column(const QueryResult& result,

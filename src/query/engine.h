@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,11 +29,6 @@ struct EngineOptions {
   bool use_data_skipping = true;
   bool use_cache = true;
   bool use_prefetch = true;
-  // Vectorized per-block execution (§15): residual predicates run as
-  // selection-bitmap kernels over whole decoded column vectors instead of
-  // the row-at-a-time probe loop. Output is byte-identical either way; off
-  // is the Figure 15-style scalar baseline for the bench sweep.
-  bool use_vectorized = true;
 
   // Wrap the store with bounded retry + backoff so transient object-store
   // failures (throttling, connection resets, truncated responses) are
@@ -44,14 +38,14 @@ struct EngineOptions {
 
   // Parallel query execution (§5.2/Figure 17): LogBlocks of one query are
   // scanned concurrently by a per-engine pool of this many threads, with
-  // results merged back in LogBlock-map order so output is byte-identical
-  // to the serial path. 1 (or 0) disables the pool — blocks are visited
-  // strictly serially, the pre-parallel behavior.
+  // results merged back in LogBlock-map order so output does not depend on
+  // the thread count. 1 (or 0) creates no pool: the same fragment executor
+  // runs its blocks inline on the calling thread, in map order.
   int query_threads = 8;
   // While up to query_threads blocks scan, the scheduler keeps this many
   // FURTHER blocks warming: their object heads (tar header + meta member)
   // are prefetched so opening the next reader is a cache hit instead of a
-  // cold object-store round trip. Requires use_cache.
+  // cold object-store round trip. Requires use_cache and a pool.
   int pipeline_depth = 4;
 
   int prefetch_threads = 32;
@@ -66,7 +60,7 @@ struct EngineOptions {
   uint64_t object_cache_bytes = 256ull << 20;
 
   // Cluster-wide execution-slot budget (§12): when set, every block scan —
-  // serial or parallel — first acquires a slot, so under load the shared
+  // inline or pooled — first acquires a slot, so under load the shared
   // budget dynamically caps this engine's effective query_threads, with
   // per-tenant fair queueing. Non-owning; must outlive the engine. Null =
   // unlimited (the standalone single-engine behavior).
@@ -86,6 +80,29 @@ struct QueryStats {
   uint64_t realtime_rows = 0;  // rows merged from real-time stores
   BlockExecStats exec;
   int64_t elapsed_us = 0;
+};
+
+// Registry cells for whole-query accounting (`query.*`). QueryStats is a
+// value type copied and merged across fragments, so each read path —
+// QueryEngine::Execute and the cluster read — records the final stats once
+// per query rather than per increment.
+struct QueryCells {
+  std::atomic<uint64_t>* queries = nullptr;
+  std::atomic<uint64_t>* rows_matched = nullptr;
+  std::atomic<uint64_t>* realtime_rows = nullptr;
+  std::atomic<uint64_t>* logblocks_total = nullptr;
+  std::atomic<uint64_t>* logblocks_pruned = nullptr;
+  std::atomic<uint64_t>* logblocks_sma_skipped = nullptr;
+  std::atomic<uint64_t>* column_blocks_scanned = nullptr;
+  std::atomic<uint64_t>* column_blocks_skipped = nullptr;
+  std::atomic<uint64_t>* index_probes = nullptr;
+  std::atomic<uint64_t>* decode_cache_hits = nullptr;
+  std::atomic<uint64_t>* vectorized_rows_scanned = nullptr;
+  std::atomic<uint64_t>* vectorized_bitmap_hits = nullptr;
+  std::atomic<uint64_t>* vectorized_kernel_ns = nullptr;
+
+  void BindTo(metrics::MetricRegistry* registry);
+  void Record(const QueryStats& stats) const;
 };
 
 struct QueryResult {
@@ -115,55 +132,8 @@ Status MergeRealtimeRows(
     std::vector<std::pair<uint32_t, logblock::RowBatch>> batches,
     const LogQuery& query, QueryResult* result);
 
-// One block's outcome within a fragment execution. `status` is Aborted when
-// the block was cooperatively cancelled (limit secured, a peer's real
-// error, or cancellation while queued for an admission slot) — Aborted
-// never escapes a merge.
-struct FragmentSlot {
-  Status status;
-  bool ran = false;  // true iff `exec` holds a real result
-  BlockExecResult exec;
-  std::vector<std::string> columns;  // schema names (select list empty)
-};
-
-// Caller plumbing for ExecuteFragment, letting a cluster broker scatter one
-// query across several engines while keeping the §11 cancellation contract
-// global: one shared cancel flag, and per-block completion callbacks tagged
-// with the caller's GLOBAL block indices so a ScatterLimitTracker can fire
-// the limit cancel in whole-query block-map order.
-struct FragmentOptions {
-  // Shared cooperative-cancel flag; may be null (never cancelled). The
-  // fragment also SETS it on a block's real (non-Aborted) error, draining
-  // every fragment of the query.
-  std::atomic<bool>* cancel = nullptr;
-  // Tag reported to on_block_done for block i of this fragment; empty =
-  // identity (0..n-1, the single-fragment case).
-  std::vector<size_t> tags;
-  // Invoked on the executing thread right after each block settles (ran,
-  // failed, or aborted). May be called concurrently for different blocks.
-  std::function<void(size_t tag, const FragmentSlot& slot)> on_block_done;
-};
-
-// Fires the shared cancel flag once the limit is secured in completed-
-// prefix order across ALL scattered fragments of one query — the §11 rule
-// ("every block the serial path would have visited is done and already
-// supplies `limit` rows") applied to global block indices, so a cancel
-// never aborts a block the merge will reach before the limit cut.
-class ScatterLimitTracker {
- public:
-  ScatterLimitTracker(size_t num_blocks, uint32_t limit,
-                      std::atomic<bool>* cancel);
-  void OnBlockDone(size_t index, const FragmentSlot& slot);
-
- private:
-  const uint32_t limit_;
-  std::atomic<bool>* cancel_;
-  std::mutex mu_;
-  std::vector<char> done_;
-  std::vector<uint64_t> rows_;  // per-block matched-row counts
-  size_t prefix_len_ = 0;       // blocks [0, prefix_len_) all completed
-  uint64_t prefix_rows_ = 0;    // rows matched inside that prefix
-};
+struct FragmentSlot;         // one block's outcome; defined in engine.cc
+class ScatterLimitTracker;  // the global limit cancel; defined in engine.cc
 
 // Executes single-tenant log queries against LogBlocks on the object store,
 // applying the full optimization stack of §5: LogBlock-map pruning, data
@@ -174,26 +144,27 @@ class QueryEngine {
   static Result<std::unique_ptr<QueryEngine>> Open(
       objectstore::ObjectStore* store, const EngineOptions& options = {});
 
+  // The query over every block of `map` this engine holds: RunFragments
+  // with every pruned block in one fragment on this engine, plus the
+  // `query.*` accounting.
   Result<QueryResult> Execute(const LogQuery& query,
                               const logblock::LogBlockMap& map);
 
-  // Executes one fragment of a (possibly scattered) query: the subset of
-  // its pruned LogBlocks this engine owns, in block-map order. Uses the §11
-  // parallel scheduler (pipelined head prefetch, full-limit per-block
-  // execution, admission-slot gating) but never fails wholesale — each
-  // block's outcome lands in its slot, and per-block statuses are resolved
-  // by MergeFragmentSlots. Runs inline when the engine has no query pool.
-  std::vector<FragmentSlot> ExecuteFragment(
-      const LogQuery& query, const std::vector<logblock::LogBlockEntry>& blocks,
-      const FragmentOptions& fragment);
+  // Picks the engine that scans one pruned LogBlock; an error fails the
+  // read before any block runs.
+  using EngineChooser =
+      std::function<Result<QueryEngine*>(const logblock::LogBlockEntry&)>;
 
-  // Deterministic merge of fragment slots in block-map order: columns from
-  // the first completed block, stats merged up to the limit cut, rows
-  // trimmed at the limit, and the lowest-index real (non-Aborted) error
-  // reported when a needed block did not run. `slots` is consumed.
-  static Status MergeFragmentSlots(const LogQuery& query,
-                                   std::vector<FragmentSlot>& slots,
-                                   QueryResult* result);
+  // The archived half of every read (§11/§12): prunes `map` on <tenant,
+  // ts range>, groups the surviving blocks into one fragment per chosen
+  // engine, runs the fragments (concurrently when there are several) under
+  // one cancel flag and one limit tracker over the GLOBAL block-map
+  // indices, merges the per-block slots in that order, and recounts
+  // rows_matched for row queries. The result cannot depend on the choice.
+  static Status RunFragments(const LogQuery& query,
+                             const logblock::LogBlockMap& map,
+                             const EngineChooser& choose_engine,
+                             QueryResult* result);
 
   // Extracts one projected column from a result (for aggregations).
   static std::vector<logblock::Value> Column(const QueryResult& result,
@@ -213,21 +184,21 @@ class QueryEngine {
  private:
   QueryEngine(objectstore::ObjectStore* store, const EngineOptions& options);
 
+  // Executes one fragment: `blocks` (block-map order) are the query's
+  // pruned LogBlocks this engine scans, `tags[i]` the global index of
+  // blocks[i], whose outcome lands in (*slots)[tags[i]]. Uses the §11
+  // scheduler (pipelined head prefetch, full-limit per-block execution,
+  // admission-slot gating, cooperative cancel) and never fails wholesale.
+  // Runs inline when the engine has no query pool or the fragment has one
+  // block.
+  void ExecuteFragment(const LogQuery& query,
+                       const std::vector<logblock::LogBlockEntry>& blocks,
+                       const std::vector<size_t>& tags,
+                       std::atomic<bool>* cancel, ScatterLimitTracker* tracker,
+                       std::vector<FragmentSlot>* slots);
+
   Result<std::shared_ptr<logblock::LogBlockReader>> OpenReader(
       const std::string& object_key);
-
-  // One-block-at-a-time scan loop (query_threads <= 1, or a single pruned
-  // block). Ground truth for the parallel scheduler's output.
-  Status ExecuteSerial(const LogQuery& query,
-                       const std::vector<logblock::LogBlockEntry>& blocks,
-                       const ExecOptions& exec_options, QueryResult* result);
-
-  // The single-engine parallel path: ExecuteFragment over the whole block
-  // list with a local cancel flag and limit tracker, then the deterministic
-  // merge. Byte-identical to ExecuteSerial.
-  Status ExecuteParallel(const LogQuery& query,
-                         const std::vector<logblock::LogBlockEntry>& blocks,
-                         QueryResult* result);
 
   // Effective store for all engine IO: the retry wrapper when enabled,
   // otherwise the caller's store directly.
@@ -240,30 +211,10 @@ class QueryEngine {
   std::unique_ptr<cache::LruCache<logblock::LogBlockReader>> object_cache_;
   // Shared by all concurrent Execute calls; null when query_threads <= 1.
   std::unique_ptr<ThreadPool> query_pool_;
-  // Distinct owner tag per Execute, for fair prefetch scheduling.
+  // Distinct owner tag per fragment, for fair prefetch scheduling.
   std::atomic<uint64_t> next_query_owner_{1};
 
-  // Registry cells for whole-query accounting. QueryStats is a value type
-  // copied and merged across fragments, so the registry is dual-written
-  // once per Execute (from the final stats) rather than per increment.
-  struct QueryCells {
-    std::atomic<uint64_t>* queries = nullptr;
-    std::atomic<uint64_t>* rows_matched = nullptr;
-    std::atomic<uint64_t>* realtime_rows = nullptr;
-    std::atomic<uint64_t>* logblocks_total = nullptr;
-    std::atomic<uint64_t>* logblocks_pruned = nullptr;
-    std::atomic<uint64_t>* logblocks_sma_skipped = nullptr;
-    std::atomic<uint64_t>* column_blocks_scanned = nullptr;
-    std::atomic<uint64_t>* column_blocks_skipped = nullptr;
-    std::atomic<uint64_t>* index_probes = nullptr;
-    std::atomic<uint64_t>* decode_cache_hits = nullptr;
-    std::atomic<uint64_t>* vectorized_rows_scanned = nullptr;
-    std::atomic<uint64_t>* vectorized_bitmap_hits = nullptr;
-    std::atomic<uint64_t>* vectorized_kernel_ns = nullptr;
-
-    void BindTo(metrics::MetricRegistry* registry);
-    void Record(const QueryStats& stats) const;
-  } query_cells_;
+  QueryCells query_cells_;
 };
 
 }  // namespace logstore::query

@@ -30,8 +30,8 @@ uint32_t FilterStringEq(const std::string* values, uint32_t n,
 
 // Full-text MATCH fallback scan: a row is selected iff every query token
 // (pre-tokenized ONCE by the caller, never per row) appears among the
-// row value's tokens. An empty token list selects every row, matching the
-// scalar EvalOnDecoded semantics.
+// row value's tokens. An empty token list selects every row, as the
+// inverted-index probe (LogBlockReader::InvertedMatchAllTokens) does.
 uint32_t FilterMatchTokens(const std::string* values, uint32_t n,
                            const std::vector<std::string>& tokens,
                            uint64_t* words);

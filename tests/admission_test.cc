@@ -2,14 +2,16 @@
 // a hard cap, hand released slots to waiters round-robin across tenants
 // (so a narrow tenant is served right after the in-flight scan, not behind
 // a wide tenant's backlog), bound the narrow tenant's slot-wait while a
-// wide tenant saturates the pool, and never leak a slot when a waiter is
-// cancelled mid-queue.
+// wide tenant saturates the pool, never leak a slot when a waiter is
+// cancelled mid-queue, and never lose a slot released while a waiter is
+// still on its way into the queue.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -253,6 +255,46 @@ TEST(AdmissionGovernorTest, RawFlagFlipStillCancelsViaBackstop) {
   waiter.join();
   governor.Release();
   EXPECT_EQ(governor.slots_in_use(), 0);
+}
+
+// Regression for the lost grant: a cancellable waiter drops the governor
+// mutex to register with CancelBroadcast. A slot released inside that window
+// finds no queued waiter and goes back to the pool; a waiter that then
+// parked without re-checking would sit beside the free slot with no holder
+// left to hand it over, and every later arrival would queue behind it. The
+// window is a few hundred nanoseconds wide, so the rounds sweep the release
+// across it: each starts a cancellable waiter against a full governor and
+// releases the only slot 0-980 ns after the waiter enters Acquire.
+TEST(AdmissionGovernorTest, SlotReleasedWhileWaiterRegistersIsGranted) {
+  AdmissionGovernor governor(1);
+  for (int round = 0; round < 2000; ++round) {
+    ASSERT_TRUE(governor.Acquire(1));
+    std::atomic<bool> cancel{false};
+    std::atomic<bool> entering{false};
+    std::future<bool> granted = std::async(std::launch::async, [&] {
+      entering.store(true, std::memory_order_release);
+      const bool ok = governor.Acquire(2, &cancel);
+      if (ok) governor.Release();
+      return ok;
+    });
+    while (!entering.load(std::memory_order_acquire)) {
+    }
+    const auto release_at = std::chrono::steady_clock::now() +
+                            std::chrono::nanoseconds(round % 50 * 20);
+    while (std::chrono::steady_clock::now() < release_at) {
+    }
+    governor.Release();
+    if (granted.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      SignalCancel(&cancel);  // unpark the stranded waiter before failing
+      granted.wait();
+      FAIL() << "round " << round
+             << ": the waiter parked beside a free slot and was never granted";
+    }
+    ASSERT_TRUE(granted.get()) << "round " << round;
+  }
+  EXPECT_EQ(governor.slots_in_use(), 0);
+  EXPECT_EQ(governor.queue_depth(), 0u);
 }
 
 // Legacy TenantStats and the registry cells are dual-written at the same

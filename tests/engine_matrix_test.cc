@@ -1,17 +1,19 @@
 // Optimization-independence property: the §5 optimizations (data skipping,
 // caches, prefetch) are pure performance features — every combination must
-// produce byte-identical query results. This sweeps all 8 configurations
-// over a mixed workload and compares against the unoptimized baseline.
+// answer as the test-only reference evaluator does (reference_query.h) and
+// return byte-identical rows. This sweeps all 8 configurations over a mixed
+// workload, with and without a limit.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/data_builder.h"
 #include "objectstore/memory_object_store.h"
 #include "query/engine.h"
+#include "reference_query.h"
 #include "rowstore/row_store.h"
 #include "workload/loggen.h"
 #include "workload/querygen.h"
@@ -38,13 +40,13 @@ class EngineMatrixTest : public ::testing::TestWithParam<int> {
     rowstore::RowStore rows(logblock::RequestLogSchema());
     workload::LogGenerator gen(41);
     for (uint64_t tenant = 0; tenant < 3; ++tenant) {
-      rows.Append(tenant, gen.Generate(tenant, 4000, 0, kHistory));
+      data_.push_back({tenant, gen.Generate(tenant, 4000, 0, kHistory)});
+      rows.Append(tenant, data_.back().batch);
     }
     ASSERT_TRUE(builder.BuildOnce(&rows).ok());
   }
 
-  std::multiset<std::string> Run(const EngineConfig& config,
-                                 const LogQuery& query) {
+  QueryResult Run(const EngineConfig& config, const LogQuery& query) {
     EngineOptions options;
     options.use_data_skipping = config.skipping;
     options.use_cache = config.cache;
@@ -57,43 +59,34 @@ class EngineMatrixTest : public ::testing::TestWithParam<int> {
     EXPECT_TRUE(engine.ok());
     auto result = (*engine)->Execute(query, map_);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::multiset<std::string> rows;
-    if (result.ok()) {
-      for (const auto& row : result->rows) rows.insert(row[0].s);
-    }
-    return rows;
+    return result.ok() ? std::move(result).value() : QueryResult{};
   }
 
   std::unique_ptr<objectstore::MemoryObjectStore> store_;
   logblock::LogBlockMap map_;
+  std::vector<reference::TenantRows> data_;
 };
 
-TEST_P(EngineMatrixTest, AllConfigurationsAgree) {
+TEST_P(EngineMatrixTest, AllConfigurationsMatchReference) {
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
-  for (const auto& query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
-    if (query.limit != 0) {
-      // LIMIT picks an arbitrary matching subset; compare sizes only.
-      const size_t baseline =
-          Run({false, false, false}, query).size();
+  for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
+    for (uint32_t limit : {0u, base_query.limit}) {
+      LogQuery query = base_query;
+      query.limit = limit;
+      const reference::Answer expected = reference::Evaluate(data_, query);
+      const QueryResult baseline = Run({false, false, false}, query);
       for (bool skipping : {false, true}) {
         for (bool cache : {false, true}) {
           for (bool prefetch : {false, true}) {
-            EXPECT_EQ(Run({skipping, cache, prefetch}, query).size(),
-                      baseline)
-                << "skip=" << skipping << " cache=" << cache
-                << " prefetch=" << prefetch;
-          }
-        }
-      }
-    } else {
-      const auto baseline = Run({false, false, false}, query);
-      for (bool skipping : {false, true}) {
-        for (bool cache : {false, true}) {
-          for (bool prefetch : {false, true}) {
-            EXPECT_EQ(Run({skipping, cache, prefetch}, query), baseline)
-                << "skip=" << skipping << " cache=" << cache
-                << " prefetch=" << prefetch;
+            const std::string label =
+                "limit=" + std::to_string(limit) +
+                " skip=" + std::to_string(skipping) +
+                " cache=" + std::to_string(cache) +
+                " prefetch=" + std::to_string(prefetch);
+            const QueryResult result = Run({skipping, cache, prefetch}, query);
+            reference::ExpectMatchesReference(expected, query, result, label);
+            EXPECT_EQ(result.rows, baseline.rows) << label;
           }
         }
       }

@@ -206,7 +206,13 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
     ASSERT_TRUE(cluster->RunBuildPass().ok());
     query::LogQuery query;
     query.tenant_id = 1;
+    // A cluster read records `query.*` exactly once, however many worker
+    // engines ran its fragments.
+    const int64_t queries_before = registry.SnapshotMap().at("query.queries");
     ASSERT_TRUE(cluster->Query(query).ok());
+    EXPECT_EQ(registry.SnapshotMap().at("query.queries"), queries_before + 1);
+    ASSERT_TRUE(cluster->Query(query).ok());
+    EXPECT_EQ(registry.SnapshotMap().at("query.queries"), queries_before + 2);
     // Touch the admission governor directly so its lazily-resolved
     // per-tenant cells exist even if the tiny query never queued.
     ASSERT_TRUE(cluster->admission()->Acquire(1));
@@ -245,7 +251,7 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
         "raft.",              // raft replication counters
         "wal.",               // DurableLog counters
         "monitor.",           // MonitorStats
-        "cluster.",           // broker routing + scatter reads
+        "cluster.",           // broker routing + availability
         "core.",              // LogStore facade
     };
     for (const std::string& prefix : producers) {
@@ -263,6 +269,16 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
     EXPECT_GT(snap.at("wal.records_appended"), 0);
     EXPECT_GT(snap.at("core.rows_appended"), 0);
     EXPECT_GT(snap.at("query.queries"), 0);
+    // Cluster reads account under `query.*`, so the only `cluster.*`
+    // families are broker routing and availability; no scatter-only read
+    // cells are registered.
+    for (const auto& [key, value] : snap) {
+      (void)value;
+      if (key.rfind("cluster.", 0) != 0) continue;
+      EXPECT_TRUE(key.rfind("cluster.rows_routed", 0) == 0 ||
+                  key.rfind("cluster.availability.", 0) == 0)
+          << "unexpected cluster metric " << key;
+    }
   }
   fs::remove_all(dir);
 }

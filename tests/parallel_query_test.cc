@@ -1,7 +1,10 @@
-// Parallel query execution property tests: the parallel scheduler must be
-// invisible — byte-identical rows (content AND order) to the serial path
-// across a seeded query matrix, including limit queries, fault injection,
-// cancellation after a real error, and many queries sharing one engine.
+// Parallel query execution property tests: every schedule of the fragment
+// executor must answer as the test-only reference evaluator does
+// (reference_query.h), and the thread count must be invisible — rows
+// (content AND order) and deterministic stats byte-equal at 1, 4 and 8
+// threads — across a seeded query matrix, including limit queries, fault
+// injection, cancellation after a real error, and many queries sharing one
+// engine.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
 #include "query/engine.h"
+#include "reference_query.h"
 #include "rowstore/row_store.h"
 #include "workload/loggen.h"
 #include "workload/querygen.h"
@@ -37,7 +41,8 @@ class ParallelQueryTest : public ::testing::TestWithParam<int> {
     rowstore::RowStore rows(logblock::RequestLogSchema());
     workload::LogGenerator gen(41);
     for (uint64_t tenant = 0; tenant < 3; ++tenant) {
-      rows.Append(tenant, gen.Generate(tenant, 4000, 0, kHistory));
+      data_.push_back({tenant, gen.Generate(tenant, 4000, 0, kHistory)});
+      rows.Append(tenant, data_.back().batch);
     }
     ASSERT_TRUE(builder.BuildOnce(&rows).ok());
   }
@@ -59,58 +64,62 @@ class ParallelQueryTest : public ::testing::TestWithParam<int> {
     return (*engine)->Execute(query, map_);
   }
 
-  // Asserts full byte-identity: columns, row contents, row ORDER, and the
-  // execution stats the merge is supposed to reproduce.
-  void ExpectIdentical(const QueryResult& serial, const QueryResult& parallel,
+  // Asserts full byte-identity between two schedules: columns, row
+  // contents, row ORDER, and the execution stats the merge is supposed to
+  // reproduce.
+  void ExpectIdentical(const QueryResult& expected, const QueryResult& actual,
                        const std::string& label) {
-    EXPECT_EQ(parallel.columns, serial.columns) << label;
-    ASSERT_EQ(parallel.rows.size(), serial.rows.size()) << label;
-    for (size_t r = 0; r < serial.rows.size(); ++r) {
-      EXPECT_EQ(parallel.rows[r], serial.rows[r]) << label << " row " << r;
+    EXPECT_EQ(actual.columns, expected.columns) << label;
+    ASSERT_EQ(actual.rows.size(), expected.rows.size()) << label;
+    for (size_t r = 0; r < expected.rows.size(); ++r) {
+      EXPECT_EQ(actual.rows[r], expected.rows[r]) << label << " row " << r;
     }
-    EXPECT_EQ(parallel.stats.logblocks_sma_skipped,
-              serial.stats.logblocks_sma_skipped)
+    EXPECT_EQ(actual.stats.logblocks_sma_skipped,
+              expected.stats.logblocks_sma_skipped)
         << label;
-    EXPECT_EQ(parallel.stats.exec.column_blocks_scanned,
-              serial.stats.exec.column_blocks_scanned)
+    EXPECT_EQ(actual.stats.exec.column_blocks_scanned,
+              expected.stats.exec.column_blocks_scanned)
         << label;
-    EXPECT_EQ(parallel.stats.exec.column_blocks_skipped,
-              serial.stats.exec.column_blocks_skipped)
+    EXPECT_EQ(actual.stats.exec.column_blocks_skipped,
+              expected.stats.exec.column_blocks_skipped)
         << label;
-    EXPECT_EQ(parallel.stats.exec.index_probes, serial.stats.exec.index_probes)
+    EXPECT_EQ(actual.stats.exec.index_probes, expected.stats.exec.index_probes)
         << label;
-    EXPECT_EQ(parallel.stats.exec.rows_matched, serial.stats.exec.rows_matched)
+    EXPECT_EQ(actual.stats.exec.rows_matched, expected.stats.exec.rows_matched)
         << label;
   }
 
   std::unique_ptr<objectstore::MemoryObjectStore> store_;
   logblock::LogBlockMap map_;
+  std::vector<reference::TenantRows> data_;
 };
 
-TEST_P(ParallelQueryTest, MatchesSerialByteForByte) {
+TEST_P(ParallelQueryTest, MatchesReferenceAtEveryThreadCount) {
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
     for (uint32_t limit : {0u, 1u, 7u, 100u}) {
       LogQuery query = base_query;
       query.limit = limit;
-      auto serial = Run(store_.get(), Options(1), query);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      const std::string label = "limit=" + std::to_string(limit);
+      auto inline_run = Run(store_.get(), Options(1), query);
+      ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
+      reference::ExpectMatchesReference(reference::Evaluate(data_, query),
+                                        query, *inline_run, label);
       for (int threads : {4, 8}) {
-        auto parallel = Run(store_.get(), Options(threads), query);
-        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-        ExpectIdentical(*serial, *parallel,
-                        "limit=" + std::to_string(limit) +
-                            " threads=" + std::to_string(threads));
+        auto pooled = Run(store_.get(), Options(threads), query);
+        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+        ExpectIdentical(*inline_run, *pooled,
+                        label + " threads=" + std::to_string(threads));
       }
     }
   }
 }
 
-TEST_P(ParallelQueryTest, MatchesSerialUnderTransientFaults) {
+TEST_P(ParallelQueryTest, MatchesReferenceUnderTransientFaults) {
   // Transient object-store faults mid-scan are absorbed by the retry layer
-  // below the parallel scheduler; results stay identical to a clean serial
-  // run, in content and order.
+  // below the scheduler; results still match the reference and stay
+  // identical to a clean inline run, in content and order.
   objectstore::FaultInjectionOptions faults;
   faults.error_rate = 0.05;
   faults.short_read_rate = 0.02;
@@ -128,11 +137,14 @@ TEST_P(ParallelQueryTest, MatchesSerialUnderTransientFaults) {
     for (uint32_t limit : {0u, 7u}) {
       LogQuery query = base_query;
       query.limit = limit;
-      auto serial = Run(store_.get(), Options(1), query);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      auto parallel = Run(&flaky, options, query);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectIdentical(*serial, *parallel, "faulty limit=" + std::to_string(limit));
+      const std::string label = "faulty limit=" + std::to_string(limit);
+      auto clean = Run(store_.get(), Options(1), query);
+      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+      auto faulty = Run(&flaky, options, query);
+      ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+      reference::ExpectMatchesReference(reference::Evaluate(data_, query),
+                                        query, *faulty, label);
+      ExpectIdentical(*clean, *faulty, label);
     }
   }
   EXPECT_GT(flaky.fault_stats().injected_errors.load(), 0u);
@@ -160,19 +172,22 @@ TEST_F(ParallelQueryTest, CancellationUnderErrorDoesNotHangOrPoison) {
   ASSERT_FALSE(failed.ok());
   EXPECT_FALSE(failed.status().IsAborted()) << failed.status().ToString();
 
-  // Same engine, fault cleared: identical to a clean serial run.
+  // Same engine, fault cleared: the reference answer, identical to a clean
+  // inline run.
   flaky.ClearBlacklist();
   auto recovered = (*engine)->Execute(query, map_);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  auto serial = Run(store_.get(), Options(1), query);
-  ASSERT_TRUE(serial.ok());
-  ExpectIdentical(*serial, *recovered, "recovered");
+  reference::ExpectMatchesReference(reference::Evaluate(data_, query), query,
+                                    *recovered, "recovered");
+  auto clean = Run(store_.get(), Options(1), query);
+  ASSERT_TRUE(clean.ok());
+  ExpectIdentical(*clean, *recovered, "recovered");
 }
 
 TEST_F(ParallelQueryTest, ConcurrentQueriesShareOneEngine) {
   // Many queries race on one engine: one query pool, one block manager
   // (memory + SSD), one prefetch service. Every result must still match
-  // its serial baseline.
+  // its inline baseline, which matches the reference.
   const auto dir = std::filesystem::temp_directory_path() /
                    "logstore_parallel_query_ssd_test";
   std::filesystem::remove_all(dir);
@@ -194,9 +209,11 @@ TEST_F(ParallelQueryTest, ConcurrentQueriesShareOneEngine) {
     workload::QueryGenerator qgen(static_cast<uint64_t>(seed));
     const uint64_t tenant = static_cast<uint64_t>(seed) % 3;
     for (const auto& query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
-      auto serial = Run(store_.get(), Options(1), query);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      jobs.push_back({query, std::move(serial).value()});
+      auto baseline = Run(store_.get(), Options(1), query);
+      ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+      reference::ExpectMatchesReference(reference::Evaluate(data_, query),
+                                        query, *baseline, "baseline");
+      jobs.push_back({query, std::move(baseline).value()});
     }
   }
 

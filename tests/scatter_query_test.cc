@@ -1,9 +1,11 @@
-// Scatter/gather read-path property tests: fanning a cluster query across
-// the workers owning its LogBlocks must be invisible — byte-identical rows
-// (content AND order) and stats to the single-broker-engine path — across
-// a seeded (limit x threads x placement) matrix, with realtime rows merged
-// in a deterministic placement-independent order, under a small shared
-// admission budget.
+// Scatter/gather read-path property tests: a cluster query must answer as
+// the test-only reference evaluator (reference_query.h) does over every row
+// written, archived and realtime alike, and fanning it across the workers
+// owning its LogBlocks must be invisible — byte-identical rows (content AND
+// order) and stats to the same read run as one fragment on the broker
+// engine — across a seeded (limit x threads x placement) matrix, with
+// realtime rows merged in a deterministic placement-independent order,
+// under a small shared admission budget.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +18,8 @@
 #include "common/clock.h"
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
-#include "query/aggregation.h"
 #include "query/engine.h"
+#include "reference_query.h"
 #include "workload/loggen.h"
 #include "workload/querygen.h"
 
@@ -31,6 +33,7 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
   struct Deployment {
     std::unique_ptr<objectstore::MemoryObjectStore> store;
     std::unique_ptr<Cluster> cluster;
+    std::vector<reference::TenantRows> written;  // every acked batch
   };
 
   // A 4-worker deployment with small LogBlocks (every tenant spans many
@@ -57,25 +60,23 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
     deployment.cluster = std::move(cluster).value();
 
     workload::LogGenerator gen(90 + static_cast<uint64_t>(GetParam()));
+    auto write = [&](uint64_t tenant, uint32_t rows) {
+      deployment.written.push_back(
+          {tenant, gen.Generate(tenant, rows, 0, kHistory)});
+      EXPECT_TRUE(
+          deployment.cluster->Write(tenant, deployment.written.back().batch)
+              .ok());
+    };
     for (uint64_t tenant = 0; tenant < 3; ++tenant) {
       // Many small writes spread rows across the workers' shards.
-      for (int i = 0; i < 12; ++i) {
-        EXPECT_TRUE(deployment.cluster
-                        ->Write(tenant, gen.Generate(tenant, 200, 0, kHistory))
-                        .ok());
-      }
+      for (int i = 0; i < 12; ++i) write(tenant, 200);
     }
     auto built = deployment.cluster->RunBuildPass();
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     EXPECT_GT(*built, 0);
     if (with_realtime_tail) {
       for (uint64_t tenant = 0; tenant < 3; ++tenant) {
-        for (int i = 0; i < 6; ++i) {
-          EXPECT_TRUE(
-              deployment.cluster
-                  ->Write(tenant, gen.Generate(tenant, 25, 0, kHistory))
-                  .ok());
-        }
+        for (int i = 0; i < 6; ++i) write(tenant, 25);
       }
     }
     return deployment;
@@ -112,29 +113,31 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
         << label;
   }
 
-  void CompareMatrix(Cluster* cluster, const std::string& phase) {
+  void CompareMatrix(const Deployment& deployment, const std::string& phase) {
     workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
     const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
     for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
       for (uint32_t limit : {0u, 1u, 7u, 100u}) {
         query::LogQuery query = base_query;
         query.limit = limit;
-        auto single = cluster->QuerySingleEngine(query);
+        const std::string label = phase + " limit=" + std::to_string(limit);
+        auto single = deployment.cluster->QuerySingleEngine(query);
         ASSERT_TRUE(single.ok()) << single.status().ToString();
-        auto scattered = cluster->Query(query);
+        auto scattered = deployment.cluster->Query(query);
         ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
-        ExpectIdentical(*single, *scattered,
-                        phase + " limit=" + std::to_string(limit));
+        reference::ExpectMatchesReference(
+            reference::Evaluate(deployment.written, query), query, *scattered,
+            label);
+        ExpectIdentical(*single, *scattered, label);
       }
     }
   }
 };
 
-TEST_P(ScatterQueryTest, MatchesSingleEngineByteForByte) {
+TEST_P(ScatterQueryTest, MatchesReferenceAndSingleEngine) {
   for (int threads : {1, 4, 8}) {
     auto deployment = OpenDeployment(threads, /*admission_slots=*/3);
-    CompareMatrix(deployment.cluster.get(),
-                  "threads=" + std::to_string(threads));
+    CompareMatrix(deployment, "threads=" + std::to_string(threads));
     // The shared budget actually gated these scans.
     const auto stats = deployment.cluster->admission()->TenantStats(
         static_cast<uint64_t>(GetParam()) % 3);
@@ -142,44 +145,16 @@ TEST_P(ScatterQueryTest, MatchesSingleEngineByteForByte) {
   }
 }
 
-TEST_P(ScatterQueryTest, AggregationPushdownMatchesSingleEngineAndBroker) {
+TEST_P(ScatterQueryTest, AggregationPushdownMatchesReferenceAndSingleEngine) {
   // Aggregates ship per-fragment partial AggResults below the scatter merge
-  // (§15): the combined aggregate must equal the single-broker-engine path
-  // AND a broker-side aggregation over the full no-limit row result — with
-  // the realtime tail folded in on both paths.
+  // (§15): the combined aggregate, realtime tail folded in, must equal the
+  // reference over every written row and the broker-engine read.
   auto deployment = OpenDeployment(4, /*admission_slots=*/3);
   Cluster* cluster = deployment.cluster.get();
 
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
-  auto expect_same_agg = [](const query::AggResult& expected,
-                            const query::AggResult& actual,
-                            const std::string& label) {
-    EXPECT_EQ(actual.kind, expected.kind) << label;
-    EXPECT_EQ(actual.rows, expected.rows) << label;
-    EXPECT_EQ(actual.sum, expected.sum) << label;
-    EXPECT_EQ(actual.min, expected.min) << label;
-    EXPECT_EQ(actual.max, expected.max) << label;
-    ASSERT_EQ(actual.groups.size(), expected.groups.size()) << label;
-    for (size_t g = 0; g < expected.groups.size(); ++g) {
-      EXPECT_EQ(actual.groups[g].key, expected.groups[g].key) << label;
-      EXPECT_EQ(actual.groups[g].count, expected.groups[g].count) << label;
-    }
-  };
-
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
-    // Broker ground truth: aggregate the FULL row result of the same
-    // filtered query (realtime tail included) with the broker helpers.
-    query::LogQuery rows_query = base_query;
-    rows_query.limit = 0;
-    rows_query.select_columns = {"latency", "ip"};
-    auto rows = cluster->QuerySingleEngine(rows_query);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    const auto latencies = query::QueryEngine::Column(*rows, "latency");
-    const auto ips = query::QueryEngine::Column(*rows, "ip");
-    const query::Int64Rollup rollup = query::RollupInt64(latencies);
-    const auto all_groups = query::GroupCountTopK(ips, ips.size() + 1);
-
     const query::Aggregate kinds[] = {
         query::Aggregate::Count(), query::Aggregate::Sum("latency"),
         query::Aggregate::Min("latency"), query::Aggregate::Max("latency"),
@@ -189,54 +164,30 @@ TEST_P(ScatterQueryTest, AggregationPushdownMatchesSingleEngineAndBroker) {
       query.limit = 0;
       query.select_columns.clear();
       query.agg = agg;
+      const std::string label = "agg kind=" +
+                                std::to_string(static_cast<int>(agg.kind));
       auto single = cluster->QuerySingleEngine(query);
       ASSERT_TRUE(single.ok()) << single.status().ToString();
       auto scattered = cluster->Query(query);
       ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
-      EXPECT_TRUE(scattered->rows.empty());  // summaries, never rows
-      const std::string label = "agg kind=" +
-                                std::to_string(static_cast<int>(agg.kind));
-      expect_same_agg(single->agg, scattered->agg, label + " (vs single)");
+      reference::ExpectMatchesReference(
+          reference::Evaluate(deployment.written, query), query, *scattered,
+          label);
+      reference::ExpectSameAgg(single->agg, scattered->agg,
+                               label + " (vs single)");
       EXPECT_EQ(scattered->stats.exec.rows_matched,
                 single->stats.exec.rows_matched)
           << label;
       EXPECT_EQ(scattered->stats.realtime_rows, single->stats.realtime_rows)
           << label;
 
-      EXPECT_EQ(scattered->agg.rows, rollup.count) << label;
-      switch (agg.kind) {
-        case query::Aggregate::Kind::kSum:
-          EXPECT_EQ(scattered->agg.sum, rollup.sum) << label;
-          break;
-        case query::Aggregate::Kind::kMin:
-          if (rollup.count > 0) {
-            EXPECT_EQ(scattered->agg.min, rollup.min) << label;
-          }
-          break;
-        case query::Aggregate::Kind::kMax:
-          if (rollup.count > 0) {
-            EXPECT_EQ(scattered->agg.max, rollup.max) << label;
-          }
-          break;
-        case query::Aggregate::Kind::kGroupCount: {
-          const auto topk = scattered->agg.TopK(0);
-          ASSERT_EQ(topk.size(), all_groups.size()) << label;
-          for (size_t g = 0; g < topk.size(); ++g) {
-            EXPECT_EQ(topk[g].key, all_groups[g].key) << label;
-            EXPECT_EQ(topk[g].count, all_groups[g].count) << label;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-
       // A limit on an aggregate is presentation-only: the scatter must not
       // arm the limit tracker or cut any fragment's scan.
       query.limit = 5;
       auto limited = cluster->Query(query);
       ASSERT_TRUE(limited.ok()) << limited.status().ToString();
-      expect_same_agg(scattered->agg, limited->agg, label + " (limit=5)");
+      reference::ExpectSameAgg(scattered->agg, limited->agg,
+                               label + " (limit=5)");
     }
   }
 }
@@ -265,6 +216,9 @@ TEST_P(ScatterQueryTest, MatchesAcrossPlacementChanges) {
       query.limit = limit;
       auto result = cluster->Query(query);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
+      reference::ExpectMatchesReference(
+          reference::Evaluate(deployment.written, query), query, *result,
+          "initial limit=" + std::to_string(limit));
       pinned.push_back({query, std::move(result).value()});
     }
   }

@@ -1,10 +1,11 @@
-// Vectorized-execution property tests (§15): the selection-bitmap kernel
-// path must be invisible — byte-identical rows (content AND order) and
-// deterministic stats to the row-at-a-time scalar path — across a seeded
-// (predicate mix x limit x threads x data-skipping) matrix; aggregation
-// pushdown must reproduce the broker-side helpers applied to the full
-// no-limit row result; and the kernels/bitmap-fold primitives must agree
-// with their per-row reference semantics on randomized inputs.
+// Vectorized-execution property tests (§15): the selection-bitmap kernels
+// and the bitmap-fold primitives must agree with their per-row reference
+// semantics on randomized inputs, and engine results over the kernels must
+// match the test-only reference evaluator (reference_query.h) across a
+// seeded (predicate mix x limit x threads x data-skipping) matrix, with
+// rows and deterministic stats byte-equal between the inline and the
+// 8-thread schedules. Aggregation pushdown must match the reference's
+// aggregates exactly.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "query/aggregation.h"
 #include "query/engine.h"
 #include "query/vectorized.h"
+#include "reference_query.h"
 #include "rowstore/row_store.h"
 #include "workload/loggen.h"
 #include "workload/querygen.h"
@@ -118,12 +120,12 @@ TEST(FilterKernelTest, StringEqAndMatchTokens) {
             1u);
   EXPECT_EQ(words[0] & 0x3full, 0b000001ull);
 
-  // Empty token list selects every row (the scalar EvalOnDecoded contract).
+  // Empty token list selects every row (the inverted-index probe contract).
   EXPECT_EQ(vectorized::FilterMatchTokens(values.data(), n, {}, words.data()),
             n);
 }
 
-// --- Engine-level equality matrix ---
+// --- Engine-level matrix against the reference evaluator ---
 
 class VectorizedQueryTest : public ::testing::TestWithParam<int> {
  protected:
@@ -140,16 +142,15 @@ class VectorizedQueryTest : public ::testing::TestWithParam<int> {
     rowstore::RowStore rows(logblock::RequestLogSchema());
     workload::LogGenerator gen(41);
     for (uint64_t tenant = 0; tenant < 3; ++tenant) {
-      rows.Append(tenant, gen.Generate(tenant, 4000, 0, kHistory));
+      data_.push_back({tenant, gen.Generate(tenant, 4000, 0, kHistory)});
+      rows.Append(tenant, data_.back().batch);
     }
     ASSERT_TRUE(builder.BuildOnce(&rows).ok());
   }
 
-  EngineOptions Options(int threads, bool vectorized,
-                        bool skipping = true) const {
+  EngineOptions Options(int threads, bool skipping = true) const {
     EngineOptions options;
     options.query_threads = threads;
-    options.use_vectorized = vectorized;
     options.use_data_skipping = skipping;
     options.prefetch_threads = 4;
     options.io_block_size = 4096;
@@ -164,11 +165,8 @@ class VectorizedQueryTest : public ::testing::TestWithParam<int> {
     return (*engine)->Execute(query, map_);
   }
 
-  // Byte-identity across execution MODES: rows, order, and every
-  // deterministic stat shared by the scalar and vectorized paths —
-  // including decode_cache_hits, which counts the same block reuse either
-  // way. vectorized_* stats are mode-specific (zero on the scalar path)
-  // and vectorized_kernel_ns is wall clock, so they stay out of this check.
+  // Byte-identity across schedules: rows, order, and every deterministic
+  // stat (vectorized_kernel_ns is wall clock and stays out).
   void ExpectIdentical(const QueryResult& expected, const QueryResult& actual,
                        const std::string& label) {
     EXPECT_EQ(actual.columns, expected.columns) << label;
@@ -196,29 +194,20 @@ class VectorizedQueryTest : public ::testing::TestWithParam<int> {
     EXPECT_EQ(actual.stats.exec.decode_cache_hits,
               expected.stats.exec.decode_cache_hits)
         << label;
-  }
-
-  void ExpectSameAgg(const AggResult& expected, const AggResult& actual,
-                     const std::string& label) {
-    EXPECT_EQ(actual.kind, expected.kind) << label;
-    EXPECT_EQ(actual.rows, expected.rows) << label;
-    EXPECT_EQ(actual.sum, expected.sum) << label;
-    EXPECT_EQ(actual.min, expected.min) << label;
-    EXPECT_EQ(actual.max, expected.max) << label;
-    ASSERT_EQ(actual.groups.size(), expected.groups.size()) << label;
-    for (size_t g = 0; g < expected.groups.size(); ++g) {
-      EXPECT_EQ(actual.groups[g].key, expected.groups[g].key)
-          << label << " group " << g;
-      EXPECT_EQ(actual.groups[g].count, expected.groups[g].count)
-          << label << " group " << g;
-    }
+    EXPECT_EQ(actual.stats.exec.vectorized_rows_scanned,
+              expected.stats.exec.vectorized_rows_scanned)
+        << label;
+    EXPECT_EQ(actual.stats.exec.vectorized_bitmap_hits,
+              expected.stats.exec.vectorized_bitmap_hits)
+        << label;
   }
 
   std::unique_ptr<objectstore::MemoryObjectStore> store_;
   logblock::LogBlockMap map_;
+  std::vector<reference::TenantRows> data_;
 };
 
-TEST_P(VectorizedQueryTest, MatchesScalarByteForByte) {
+TEST_P(VectorizedQueryTest, MatchesReferenceAcrossSchedules) {
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
@@ -226,48 +215,32 @@ TEST_P(VectorizedQueryTest, MatchesScalarByteForByte) {
       for (uint32_t limit : {0u, 1u, 7u, 100u}) {
         LogQuery query = base_query;
         query.limit = limit;
-        // Ground truth: scalar, serial, same skipping setting (skipping
-        // changes which blocks are scanned, so it must match on both sides).
-        auto scalar = Run(Options(1, /*vectorized=*/false, skipping), query);
-        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-        for (int threads : {1, 8}) {
-          auto vec = Run(Options(threads, /*vectorized=*/true, skipping),
-                         query);
-          ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-          ExpectIdentical(*scalar, *vec,
-                          "skipping=" + std::to_string(skipping) +
-                              " limit=" + std::to_string(limit) +
-                              " threads=" + std::to_string(threads));
-        }
+        const std::string label = "skipping=" + std::to_string(skipping) +
+                                  " limit=" + std::to_string(limit);
+        const reference::Answer expected = reference::Evaluate(data_, query);
+        auto inline_run = Run(Options(1, skipping), query);
+        ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
+        reference::ExpectMatchesReference(expected, query, *inline_run,
+                                          label + " threads=1");
+        auto pooled = Run(Options(8, skipping), query);
+        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+        ExpectIdentical(*inline_run, *pooled, label + " threads=8");
       }
     }
   }
 }
 
-TEST_P(VectorizedQueryTest, VectorizedStatsDeterministicAcrossThreads) {
-  // With skipping off, every residual column block goes through a kernel:
-  // vectorized_rows_scanned/bitmap_hits must be nonzero, identical between
-  // the serial and 8-thread schedulers, and zero on the scalar path.
+TEST_P(VectorizedQueryTest, VectorizedStatsNonzeroWithoutSkipping) {
+  // With skipping off, every residual column block goes through a kernel.
+  // (Their equality across schedules is checked by ExpectIdentical.)
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   for (auto query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
     if (query.predicates.empty()) continue;  // nothing reaches a kernel
     query.limit = 0;
-    auto serial = Run(Options(1, true, /*skipping=*/false), query);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    EXPECT_GT(serial->stats.exec.vectorized_rows_scanned, 0u);
-
-    auto parallel = Run(Options(8, true, /*skipping=*/false), query);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(parallel->stats.exec.vectorized_rows_scanned,
-              serial->stats.exec.vectorized_rows_scanned);
-    EXPECT_EQ(parallel->stats.exec.vectorized_bitmap_hits,
-              serial->stats.exec.vectorized_bitmap_hits);
-
-    auto scalar = Run(Options(1, false, /*skipping=*/false), query);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(scalar->stats.exec.vectorized_rows_scanned, 0u);
-    EXPECT_EQ(scalar->stats.exec.vectorized_bitmap_hits, 0u);
+    auto result = Run(Options(1, /*skipping=*/false), query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->stats.exec.vectorized_rows_scanned, 0u);
   }
 }
 
@@ -280,7 +253,7 @@ TEST_F(VectorizedQueryTest, DecodeCacheServesGatherAndRepeatPredicates) {
   query.ts_max = kHistory;
   query.predicates.push_back(Predicate::Match("log", "timeout"));
   query.select_columns = {"log"};
-  auto result = Run(Options(1, true), query);
+  auto result = Run(Options(1), query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->rows.size(), 0u);
   EXPECT_GT(result->stats.exec.decode_cache_hits, 0u);
@@ -296,35 +269,16 @@ TEST_F(VectorizedQueryTest, DecodeCacheServesGatherAndRepeatPredicates) {
   two.predicates.push_back(
       Predicate::Int64Compare("latency", CompareOp::kLt, 100'000));
   two.select_columns = {"ts"};
-  auto repeat = Run(Options(1, true, /*skipping=*/false), two);
+  auto repeat = Run(Options(1, /*skipping=*/false), two);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
   EXPECT_GT(repeat->stats.exec.decode_cache_hits, 0u);
-
-  // Scalar mode shares the cache and must report the SAME hit count.
-  auto scalar = Run(Options(1, false, /*skipping=*/false), two);
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(scalar->stats.exec.decode_cache_hits,
-            repeat->stats.exec.decode_cache_hits);
 }
 
-TEST_P(VectorizedQueryTest, AggregationPushdownMatchesBrokerHelpers) {
-  // Ground truth: the broker-side helpers (RollupInt64 / GroupCountTopK)
-  // applied to the FULL no-limit row result of the same filtered query.
+TEST_P(VectorizedQueryTest, AggregationPushdownMatchesReference) {
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   int queries_with_rows = 0;
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
-    LogQuery rows_query = base_query;
-    rows_query.limit = 0;
-    rows_query.select_columns = {"latency", "ip"};
-    auto rows = Run(Options(1, false), rows_query);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    if (!rows->rows.empty()) ++queries_with_rows;
-    const auto latencies = QueryEngine::Column(*rows, "latency");
-    const auto ips = QueryEngine::Column(*rows, "ip");
-    const Int64Rollup rollup = RollupInt64(latencies);
-    const auto all_groups = GroupCountTopK(ips, ips.size() + 1);
-
     const Aggregate kinds[] = {Aggregate::Count(), Aggregate::Sum("latency"),
                                Aggregate::Min("latency"),
                                Aggregate::Max("latency"),
@@ -334,56 +288,38 @@ TEST_P(VectorizedQueryTest, AggregationPushdownMatchesBrokerHelpers) {
       query.limit = 0;
       query.select_columns.clear();
       query.agg = agg;
+      const reference::Answer expected = reference::Evaluate(data_, query);
+      if (expected.agg.rows > 0) ++queries_with_rows;
 
-      auto ground = Run(Options(1, false), query);
-      ASSERT_TRUE(ground.ok()) << ground.status().ToString();
-      // Aggregates ship summaries, never rows.
-      EXPECT_TRUE(ground->rows.empty());
-      EXPECT_EQ(ground->agg.rows, rollup.count);
-      EXPECT_EQ(ground->stats.exec.rows_matched, rollup.count);
-      switch (agg.kind) {
-        case Aggregate::Kind::kSum:
-          EXPECT_EQ(ground->agg.sum, rollup.sum);
-          break;
-        case Aggregate::Kind::kMin:
-          if (rollup.count > 0) {
-            EXPECT_EQ(ground->agg.min, rollup.min);
-          }
-          break;
-        case Aggregate::Kind::kMax:
-          if (rollup.count > 0) {
-            EXPECT_EQ(ground->agg.max, rollup.max);
-          }
-          break;
-        case Aggregate::Kind::kGroupCount: {
-          const auto topk = ground->agg.TopK(0);
-          ASSERT_EQ(topk.size(), all_groups.size());
-          for (size_t g = 0; g < topk.size(); ++g) {
-            EXPECT_EQ(topk[g].key, all_groups[g].key) << "group " << g;
-            EXPECT_EQ(topk[g].count, all_groups[g].count) << "group " << g;
-          }
-          break;
+      // The pushdown must be invisible across schedulers and skipping.
+      for (bool skipping : {true, false}) {
+        for (int threads : {1, 8}) {
+          auto run = Run(Options(threads, skipping), query);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          reference::ExpectMatchesReference(
+              expected, query, *run,
+              "agg=" + std::to_string(static_cast<int>(agg.kind)) +
+                  " threads=" + std::to_string(threads) +
+                  " skipping=" + std::to_string(skipping));
         }
-        default:
-          break;
       }
 
-      // The pushdown must be invisible across modes, schedulers, skipping.
-      for (bool skipping : {true, false}) {
-        auto skip_ground = Run(Options(1, false, skipping), query);
-        ASSERT_TRUE(skip_ground.ok()) << skip_ground.status().ToString();
-        for (int threads : {1, 8}) {
-          for (bool vectorized : {true, false}) {
-            auto run = Run(Options(threads, vectorized, skipping), query);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            EXPECT_TRUE(run->rows.empty());
-            ExpectSameAgg(skip_ground->agg, run->agg,
-                          "threads=" + std::to_string(threads) +
-                              " vectorized=" + std::to_string(vectorized) +
-                              " skipping=" + std::to_string(skipping));
-            EXPECT_EQ(run->stats.exec.rows_matched,
-                      skip_ground->stats.exec.rows_matched);
-          }
+      // The presentation top-k equals the broker-side helper over the
+      // matching values.
+      if (agg.kind == Aggregate::Kind::kGroupCount) {
+        LogQuery rows_query = base_query;
+        rows_query.limit = 0;
+        rows_query.select_columns = {"ip"};
+        std::vector<logblock::Value> ips;
+        for (auto& row : reference::Evaluate(data_, rows_query).rows) {
+          ips.push_back(std::move(row[0]));
+        }
+        const auto all_groups = GroupCountTopK(ips, ips.size() + 1);
+        const auto topk = expected.agg.TopK(0);
+        ASSERT_EQ(topk.size(), all_groups.size());
+        for (size_t g = 0; g < topk.size(); ++g) {
+          EXPECT_EQ(topk[g].key, all_groups[g].key) << "group " << g;
+          EXPECT_EQ(topk[g].count, all_groups[g].count) << "group " << g;
         }
       }
     }
@@ -401,12 +337,12 @@ TEST_F(VectorizedQueryTest, LimitNeverCutsAnAggregateScan) {
   query.predicates.push_back(Predicate::StringEq("fail", "false"));
   query.agg = Aggregate::GroupCount("ip");
 
-  auto unlimited = Run(Options(8, true), query);
+  auto unlimited = Run(Options(8), query);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
   ASSERT_GT(unlimited->agg.rows, 7u) << "dataset too small for the test";
 
   query.limit = 7;
-  auto limited = Run(Options(8, true), query);
+  auto limited = Run(Options(8), query);
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
   // Same full aggregate (canonical groups included) despite the limit...
   EXPECT_EQ(limited->agg.rows, unlimited->agg.rows);
@@ -426,7 +362,7 @@ TEST_F(VectorizedQueryTest, LimitNeverCutsAnAggregateScan) {
   LogQuery count_query = query;
   count_query.limit = 1;
   count_query.agg = Aggregate::Count();
-  auto counted = Run(Options(8, true), count_query);
+  auto counted = Run(Options(8), count_query);
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted->agg.rows, unlimited->agg.rows);
 }
