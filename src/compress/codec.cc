@@ -1,5 +1,6 @@
 #include "compress/codec.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -128,6 +129,27 @@ void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
   PutVarint32(output, 0);
 }
 
+// The output is sized from the untrusted size header only up to this
+// multiple of the compressed input; past it the buffer grows geometrically,
+// never beyond the header. The repository benchmark's column blocks
+// decompress to at most 4.3x their compressed size, so they are sized once,
+// while a hostile header on a short input cannot force a large allocation.
+constexpr uint64_t kUpfrontRatio = 32;
+
+// Varint32 with a one-byte fast path (the common case for literal lengths,
+// offsets under 128 and short matches). The slow path is GetVarint32, so
+// it accepts exactly the encodings GetVarint32 accepts.
+inline bool ReadVarint32(const char** ip, const char* limit, uint32_t* v) {
+  if (*ip < limit && (static_cast<uint8_t>(**ip) & 0x80) == 0) {
+    *v = static_cast<uint8_t>(*(*ip)++);
+    return true;
+  }
+  Slice in(*ip, static_cast<size_t>(limit - *ip));
+  if (!GetVarint32(&in, v)) return false;
+  *ip = in.data();
+  return true;
+}
+
 Status LzDecompressImpl(const Slice& input, std::string* output) {
   Slice in = input;
   uint64_t expected_size;
@@ -135,39 +157,74 @@ Status LzDecompressImpl(const Slice& input, std::string* output) {
     return Status::Corruption("lz: missing size header");
   }
   const size_t out_base = output->size();
-  output->reserve(out_base + expected_size);
+  if (expected_size > output->max_size() - out_base) {
+    return Status::Corruption("lz: size header too large");
+  }
+  uint64_t capacity = std::min<uint64_t>(
+      expected_size, kUpfrontRatio * static_cast<uint64_t>(input.size()));
+  output->resize(out_base + capacity);
+  char* out = output->data() + out_base;
+  uint64_t pos = 0;  // bytes produced so far
 
+  // Makes room for `n` more output bytes, or returns false when they would
+  // pass the size header. Runs before every write.
+  auto make_room = [&](uint64_t n) {
+    if (n > expected_size - pos) return false;
+    if (n > capacity - pos) {
+      capacity = std::min(expected_size, std::max(capacity * 2, pos + n));
+      output->resize(out_base + capacity);
+      out = output->data() + out_base;
+    }
+    return true;
+  };
+
+  const char* ip = in.data();
+  const char* const limit = ip + in.size();
   while (true) {
     uint32_t lit_len;
-    if (!GetVarint32(&in, &lit_len)) {
+    if (!ReadVarint32(&ip, limit, &lit_len)) {
       return Status::Corruption("lz: truncated literal length");
     }
-    if (in.size() < lit_len) return Status::Corruption("lz: truncated literals");
-    output->append(in.data(), lit_len);
-    in.remove_prefix(lit_len);
+    if (static_cast<size_t>(limit - ip) < lit_len) {
+      return Status::Corruption("lz: truncated literals");
+    }
+    if (!make_room(lit_len)) {
+      return Status::Corruption("lz: literals overrun size header");
+    }
+    memcpy(out + pos, ip, lit_len);
+    pos += lit_len;
+    ip += lit_len;
 
     uint32_t offset;
-    if (!GetVarint32(&in, &offset)) {
+    if (!ReadVarint32(&ip, limit, &offset)) {
       return Status::Corruption("lz: truncated match offset");
     }
     if (offset == 0) break;  // end of stream
 
     uint32_t extra;
-    if (!GetVarint32(&in, &extra)) {
+    if (!ReadVarint32(&ip, limit, &extra)) {
       return Status::Corruption("lz: truncated match length");
     }
-    const size_t match_len = extra + kMinMatch;
-    const size_t produced = output->size() - out_base;
-    if (offset > produced) return Status::Corruption("lz: offset before start");
-
-    // Byte-wise copy: handles the overlapping (offset < len) case.
-    size_t src = output->size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      output->push_back((*output)[src + i]);
+    const uint64_t match_len = uint64_t{extra} + kMinMatch;
+    if (offset > pos) return Status::Corruption("lz: offset before start");
+    if (!make_room(match_len)) {
+      return Status::Corruption("lz: match overruns size header");
     }
+    char* dst = out + pos;
+    const char* src = dst - offset;
+    uint64_t i = 0;
+    if (offset >= 8) {
+      // Each 8-byte chunk reads bytes at least 8 behind the one it writes,
+      // all already produced, so the chunks never overlap.
+      for (; i + 8 <= match_len; i += 8) memcpy(dst + i, src + i, 8);
+    }
+    // Short offsets are overlapping runs (offset < len): copy byte by byte
+    // so each byte can read one this match just wrote.
+    for (; i < match_len; ++i) dst[i] = src[i];
+    pos += match_len;
   }
 
-  if (output->size() - out_base != expected_size) {
+  if (pos != expected_size) {
     return Status::Corruption("lz: size mismatch after decompress");
   }
   return Status::OK();
@@ -256,10 +313,10 @@ bool DecodeVarsint64Batch(Slice* in, uint32_t row_count,
   return true;
 }
 
-bool DecodeLengthPrefixedBatch(Slice* in, uint32_t row_count,
-                               std::vector<std::string>* out) {
+bool DecodeLengthPrefixedViews(Slice* in, uint32_t row_count,
+                               std::vector<std::string_view>* out) {
   out->resize(row_count);
-  std::string* dst = out->data();
+  std::string_view* dst = out->data();
   const uint8_t* p = reinterpret_cast<const uint8_t*>(in->data());
   const uint8_t* limit = p + in->size();
   for (uint32_t i = 0; i < row_count; ++i) {
@@ -280,7 +337,7 @@ bool DecodeLengthPrefixedBatch(Slice* in, uint32_t row_count,
       len = static_cast<uint32_t>(raw);
     }
     if (static_cast<uint64_t>(limit - p) < len) return false;
-    dst[i].assign(reinterpret_cast<const char*>(p), len);
+    dst[i] = std::string_view(reinterpret_cast<const char*>(p), len);
     p += len;
   }
   in->remove_prefix(static_cast<size_t>(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/slice.h"
@@ -55,9 +56,11 @@ const Codec* GetCodec(CodecType type);
 bool DecodeVarsint64Batch(Slice* in, uint32_t row_count,
                           std::vector<int64_t>* out);
 
-// Length-prefixed string values (the string column encoding).
-bool DecodeLengthPrefixedBatch(Slice* in, uint32_t row_count,
-                               std::vector<std::string>* out);
+// Length-prefixed string values (the string column encoding), as views
+// into the bytes `*in` covers: no value is copied, and the views are valid
+// only while those bytes are.
+bool DecodeLengthPrefixedViews(Slice* in, uint32_t row_count,
+                               std::vector<std::string_view>* out);
 
 }  // namespace logstore::compress
 

@@ -221,14 +221,19 @@ Result<DecodedColumnBlock> LogBlockReader::ReadColumnBlock(size_t col,
   // of a Get* + push_back round trip per value.
   DecodedColumnBlock decoded;
   decoded.first_row = block_meta.first_row;
-  Slice v(values);
+  Slice v;
   if (meta_.schema.column(col).type == ColumnType::kInt64) {
+    v = Slice(values);
     if (!compress::DecodeVarsint64Batch(&v, block_meta.row_count,
                                         &decoded.ints)) {
       return Status::Corruption("column block: truncated int values");
     }
   } else {
-    if (!compress::DecodeLengthPrefixedBatch(&v, block_meta.row_count,
+    // String values are views into the decompressed bytes, so those move to
+    // their final home before the views are taken.
+    decoded.buffer = std::make_unique<const std::string>(std::move(values));
+    v = Slice(*decoded.buffer);
+    if (!compress::DecodeLengthPrefixedViews(&v, block_meta.row_count,
                                              &decoded.strs)) {
       return Status::Corruption("column block: truncated string values");
     }
@@ -281,7 +286,8 @@ Result<std::vector<Value>> LogBlockReader::ReadValuesAt(
       if (is_int) {
         out.push_back(Value::Int64(decoded->ints[offset_in_block]));
       } else {
-        out.push_back(Value::String(decoded->strs[offset_in_block]));
+        out.push_back(
+            Value::String(std::string(decoded->strs[offset_in_block])));
       }
     }
   }

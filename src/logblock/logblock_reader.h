@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/byte_range.h"
@@ -60,11 +61,16 @@ class StringSource : public LogBlockSource {
 };
 
 // A decoded column block: exactly one of the two vectors is populated,
-// matching the column type.
+// matching the column type. String values are views into `buffer`, the
+// block's decompressed value stream, so they are valid only while this
+// block lives; copy a value to keep it longer. `buffer` is held through a
+// pointer so that moving the block never moves the bytes the views read
+// (a moved small std::string would move its inline bytes with it).
 struct DecodedColumnBlock {
   uint32_t first_row = 0;
   std::vector<int64_t> ints;
-  std::vector<std::string> strs;
+  std::vector<std::string_view> strs;
+  std::unique_ptr<const std::string> buffer;
 
   uint32_t row_count() const {
     return static_cast<uint32_t>(ints.empty() ? strs.size() : ints.size());

@@ -31,24 +31,28 @@ class DirectObjectSource : public logblock::LogBlockSource {
 
 // LogBlockSource that routes reads through the multi-level block cache and
 // the parallel prefetch service — the optimized path of Figure 16.
+// `object_size` (0 = unknown) clamps every fetch to the object's end; see
+// PrefetchService.
 class CachedObjectSource : public logblock::LogBlockSource {
  public:
-  CachedObjectSource(PrefetchService* service, std::string key)
-      : service_(service), key_(std::move(key)) {}
+  CachedObjectSource(PrefetchService* service, std::string key,
+                     uint64_t object_size = 0)
+      : service_(service), key_(std::move(key)), object_size_(object_size) {}
 
   Result<std::string> ReadRange(uint64_t offset, uint64_t size) override {
-    return service_->Read(key_, offset, size);
+    return service_->Read(key_, offset, size, object_size_);
   }
 
   Status Prefetch(const std::vector<ByteRange>& ranges,
                   uint64_t owner = 0) override {
-    service_->Prefetch(owner, key_, ranges);
+    service_->Prefetch(owner, key_, ranges, object_size_);
     return Status::OK();
   }
 
  private:
   PrefetchService* service_;
   std::string key_;
+  uint64_t object_size_;
 };
 
 }  // namespace logstore::prefetch

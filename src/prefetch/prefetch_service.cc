@@ -24,7 +24,8 @@ std::string PrefetchService::BlockKey(const std::string& object_key,
 }
 
 Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
-    const std::string& object_key, uint64_t block_idx, uint64_t fetch_limit) {
+    const std::string& object_key, uint64_t block_idx, uint64_t fetch_limit,
+    uint64_t object_size) {
   while (true) {
     if (cache_ != nullptr) {
       if (auto block = cache_->Get(BlockKey(object_key, block_idx))) {
@@ -62,8 +63,10 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
     if (run_len == 0) continue;  // lost the race entirely; retry
 
     fetches_issued_++;
-    auto data = store_->GetRange(object_key, block_idx * options_.block_size,
-                                 run_len * options_.block_size);
+    const uint64_t start = block_idx * options_.block_size;
+    uint64_t length = run_len * options_.block_size;
+    if (start < object_size) length = std::min(length, object_size - start);
+    auto data = store_->GetRange(object_key, start, length);
 
     std::shared_ptr<const std::string> first_block;
     if (data.ok()) {
@@ -103,15 +106,19 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
 }
 
 void PrefetchService::Prefetch(uint64_t owner, const std::string& object_key,
-                               const std::vector<ByteRange>& ranges) {
+                               const std::vector<ByteRange>& ranges,
+                               uint64_t object_size) {
   if (cache_ == nullptr) return;
 
-  // Split: expand ranges to aligned block indices, dedup.
+  // Split: expand ranges to aligned block indices, dedup. Blocks wholly
+  // past a known object end are dropped.
   std::set<uint64_t> blocks;
   for (const ByteRange& range : ranges) {
-    if (range.size == 0) continue;
+    uint64_t end = range.end();
+    if (object_size > 0) end = std::min(end, object_size);
+    if (end <= range.offset) continue;
     const uint64_t first = range.offset / options_.block_size;
-    const uint64_t last = (range.end() - 1) / options_.block_size;
+    const uint64_t last = (end - 1) / options_.block_size;
     for (uint64_t b = first; b <= last; ++b) blocks.insert(b);
   }
 
@@ -134,7 +141,7 @@ void PrefetchService::Prefetch(uint64_t owner, const std::string& object_key,
     if (cache_->Contains(BlockKey(object_key, run_start)) && run_len == 1) {
       continue;
     }
-    runs.push_back({object_key, run_start, run_len});
+    runs.push_back({object_key, run_start, run_len, object_size});
   }
   if (runs.empty()) return;
 
@@ -166,12 +173,14 @@ void PrefetchService::DispatchLoop() {
       }
     }
     // Errors are ignored: a failed prefetch degrades to a blocking read.
-    (void)GetOrFetchBlock(run.object_key, run.first_block, run.run_len);
+    (void)GetOrFetchBlock(run.object_key, run.first_block, run.run_len,
+                          run.object_size);
   }
 }
 
 Result<std::string> PrefetchService::Read(const std::string& object_key,
-                                          uint64_t offset, uint64_t size) {
+                                          uint64_t offset, uint64_t size,
+                                          uint64_t object_size) {
   if (size == 0) return std::string();
 
   // Without a cache there is nothing to coalesce into: issue one exact
@@ -212,7 +221,7 @@ Result<std::string> PrefetchService::Read(const std::string& object_key,
         (b - first) < cached.size() && cached[b - first] != nullptr
             ? Result<std::shared_ptr<const std::string>>(
                   std::move(cached[b - first]))
-            : GetOrFetchBlock(object_key, b, last - b + 1);
+            : GetOrFetchBlock(object_key, b, last - b + 1, object_size);
     if (!block.ok()) return block.status();
     const uint64_t block_start = b * options_.block_size;
     const uint64_t want_start = std::max(offset, block_start);

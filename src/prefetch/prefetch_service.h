@@ -45,6 +45,14 @@ class PrefetchService {
                   PrefetchOptions options = {});
   ~PrefetchService();
 
+  // `object_size`, when nonzero, is the object's size in bytes (callers
+  // know it from the LogBlock map). Every ranged GET is then clamped to the
+  // object's end, so a fetch that reaches the last block asks for exactly
+  // the bytes that exist and comes back whole, instead of short — a short
+  // read costs the retry layer a serial Head to prove end-of-object. A read
+  // that still comes back short is a real truncation and is verified and
+  // reported as before. 0 = unknown: fetch whole aligned runs.
+
   // Schedules asynchronous fetches of the aligned blocks covering `ranges`
   // into the cache. Returns immediately.
   //
@@ -53,7 +61,8 @@ class PrefetchService {
   // floods the pool cannot starve the prefetches of queries arriving behind
   // it. Owner 0 is the shared/untagged bucket.
   void Prefetch(uint64_t owner, const std::string& object_key,
-                const std::vector<ByteRange>& ranges);
+                const std::vector<ByteRange>& ranges,
+                uint64_t object_size = 0);
   void Prefetch(const std::string& object_key,
                 const std::vector<ByteRange>& ranges) {
     Prefetch(0, object_key, ranges);
@@ -63,7 +72,7 @@ class PrefetchService {
   // cache. Blocks on in-flight fetches of the same blocks instead of
   // re-requesting them.
   Result<std::string> Read(const std::string& object_key, uint64_t offset,
-                           uint64_t size);
+                           uint64_t size, uint64_t object_size = 0);
 
   // Blocks until all scheduled prefetches complete.
   void WaitIdle();
@@ -83,17 +92,19 @@ class PrefetchService {
   std::string BlockKey(const std::string& object_key, uint64_t block_idx) const;
 
   // Returns block `block_idx`, fetching it (and up to `fetch_limit`
-  // subsequent missing blocks, coalesced into one ranged GET) if needed.
-  // Thread-safe with per-block in-flight dedup.
+  // subsequent missing blocks, coalesced into one ranged GET clamped to
+  // `object_size` when known) if needed. Thread-safe with per-block
+  // in-flight dedup.
   Result<std::shared_ptr<const std::string>> GetOrFetchBlock(
-      const std::string& object_key, uint64_t block_idx,
-      uint64_t fetch_limit);
+      const std::string& object_key, uint64_t block_idx, uint64_t fetch_limit,
+      uint64_t object_size);
 
   // One coalesced run of adjacent missing blocks awaiting fetch.
   struct PendingRun {
     std::string object_key;
     uint64_t first_block = 0;
     uint64_t run_len = 0;
+    uint64_t object_size = 0;
   };
 
   // Pool-thread body: drains pending_ runs round-robin across owners until

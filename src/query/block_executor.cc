@@ -1,8 +1,11 @@
 #include "query/block_executor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <functional>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "index/rowid_set.h"
@@ -271,7 +274,18 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
     (void)reader->Prefetch(ranges, options.prefetch_owner);
   }
 
-  std::map<std::string, uint64_t> group_counts;
+  // Keyed lookups take a view, so a row whose group already exists costs
+  // no allocation; int keys are formatted into a stack buffer the same way
+  // std::to_string formats them.
+  std::map<std::string, uint64_t, std::less<>> group_counts;
+  auto count_group = [&group_counts](std::string_view key) {
+    auto it = group_counts.find(key);
+    if (it == group_counts.end()) {
+      it = group_counts.emplace(std::string(key), 0).first;
+    }
+    ++it->second;
+  };
+  char int_key[24];
   for (size_t b : to_scan) {
     if (Cancelled(options)) return CancelledStatus();
     auto decoded = cache->Get(col, b);
@@ -293,8 +307,13 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
               result->agg.max = std::max(result->agg.max, vec.ints[off]);
               break;
             case Aggregate::Kind::kGroupCount:
-              group_counts[is_int ? std::to_string(vec.ints[off])
-                                  : vec.strs[off]]++;
+              if (is_int) {
+                const auto end = std::to_chars(
+                    int_key, int_key + sizeof(int_key), vec.ints[off]);
+                count_group(std::string_view(int_key, end.ptr - int_key));
+              } else {
+                count_group(vec.strs[off]);
+              }
               break;
             case Aggregate::Kind::kNone:
             case Aggregate::Kind::kCount:
@@ -495,7 +514,7 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
       for (; next < rows.size() && rows[next] < block_end; ++next) {
         const uint32_t off = rows[next] - block.first_row;
         out.push_back(is_int ? Value::Int64(vec.ints[off])
-                             : Value::String(vec.strs[off]));
+                             : Value::String(std::string(vec.strs[off])));
       }
     }
   }

@@ -346,15 +346,15 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Open(
 }
 
 Result<std::shared_ptr<logblock::LogBlockReader>> QueryEngine::OpenReader(
-    const std::string& object_key) {
+    const std::string& object_key, uint64_t object_size) {
   if (object_cache_ != nullptr) {
     if (auto cached = object_cache_->Get(object_key)) return cached;
   }
 
   std::shared_ptr<logblock::LogBlockSource> source;
   if (options_.use_cache) {
-    source = std::make_shared<prefetch::CachedObjectSource>(prefetch_.get(),
-                                                            object_key);
+    source = std::make_shared<prefetch::CachedObjectSource>(
+        prefetch_.get(), object_key, object_size);
   } else {
     source =
         std::make_shared<prefetch::DirectObjectSource>(store_, object_key);
@@ -481,7 +481,8 @@ void QueryEngine::ExecuteFragment(
     }
     for (size_t i = claimed; i < upto; ++i) {
       prefetch_->Prefetch(exec_options.prefetch_owner, blocks[i].object_key,
-                          {ByteRange{0, options_.io_block_size * 2}});
+                          {ByteRange{0, options_.io_block_size * 2}},
+                          blocks[i].size_bytes);
     }
   };
   const size_t lookahead =
@@ -508,7 +509,7 @@ void QueryEngine::ExecuteFragment(
             Status::Aborted("query cancelled while queued for admission");
       } else {
         warm_ahead(i + 1 + lookahead);
-        auto reader = OpenReader(blocks[i].object_key);
+        auto reader = OpenReader(blocks[i].object_key, blocks[i].size_bytes);
         if (!reader.ok()) {
           slot.status = reader.status();
         } else {

@@ -197,8 +197,10 @@ class QueryEngine {
                        std::atomic<bool>* cancel, ScatterLimitTracker* tracker,
                        std::vector<FragmentSlot>* slots);
 
+  // `object_size` is the object's size from the LogBlock map (0 =
+  // unknown); reads through the cache are clamped to it.
   Result<std::shared_ptr<logblock::LogBlockReader>> OpenReader(
-      const std::string& object_key);
+      const std::string& object_key, uint64_t object_size);
 
   // Effective store for all engine IO: the retry wrapper when enabled,
   // otherwise the caller's store directly.

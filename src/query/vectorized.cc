@@ -1,8 +1,7 @@
 #include "query/vectorized.h"
 
 #include <algorithm>
-
-#include "index/inverted_index.h"
+#include <cctype>
 
 namespace logstore::query::vectorized {
 
@@ -27,6 +26,46 @@ uint32_t FillBitmap(uint32_t n, uint64_t* words, Pred pred) {
     hits += static_cast<uint32_t>(__builtin_popcountll(bits));
   }
   return hits;
+}
+
+inline bool IsTokenChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0;
+}
+
+// True iff every entry of `tokens` equals one of `value`'s tokens. A value
+// token is a maximal IsTokenChar run compared lower-cased, exactly as
+// index::Tokenize builds it, so a query token that is empty, upper-case or
+// not alphanumeric never matches. `found` is scratch space of tokens.size()
+// flags.
+bool ContainsAllTokens(std::string_view value,
+                       const std::vector<std::string>& tokens, char* found) {
+  size_t missing = tokens.size();
+  if (missing == 0) return true;
+  std::fill(found, found + tokens.size(), 0);
+  const size_t n = value.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n && !IsTokenChar(value[i])) ++i;
+    const size_t start = i;
+    while (i < n && IsTokenChar(value[i])) ++i;
+    const size_t len = i - start;
+    if (len == 0) break;
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      const std::string& token = tokens[t];
+      if (found[t] || token.size() != len) continue;
+      size_t k = 0;
+      while (k < len &&
+             std::tolower(static_cast<unsigned char>(value[start + k])) ==
+                 static_cast<unsigned char>(token[k])) {
+        ++k;
+      }
+      if (k == len) {
+        found[t] = 1;
+        if (--missing == 0) return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -58,8 +97,8 @@ uint32_t FilterInt64Compare(const int64_t* values, uint32_t n, CompareOp op,
   return FillBitmap(n, words, [](uint32_t) { return false; });
 }
 
-uint32_t FilterStringEq(const std::string* values, uint32_t n,
-                        const std::string& operand, uint64_t* words) {
+uint32_t FilterStringEq(const std::string_view* values, uint32_t n,
+                        std::string_view operand, uint64_t* words) {
   // The size test rejects most rows without touching the character data.
   const size_t len = operand.size();
   return FillBitmap(n, words, [&](uint32_t i) {
@@ -67,18 +106,13 @@ uint32_t FilterStringEq(const std::string* values, uint32_t n,
   });
 }
 
-uint32_t FilterMatchTokens(const std::string* values, uint32_t n,
+uint32_t FilterMatchTokens(const std::string_view* values, uint32_t n,
                            const std::vector<std::string>& tokens,
                            uint64_t* words) {
+  // found[t] marks query token t as seen in the current row.
+  std::vector<char> found(tokens.size());
   return FillBitmap(n, words, [&](uint32_t i) {
-    const auto value_tokens = index::Tokenize(values[i]);
-    for (const std::string& t : tokens) {
-      if (std::find(value_tokens.begin(), value_tokens.end(), t) ==
-          value_tokens.end()) {
-        return false;
-      }
-    }
-    return true;
+    return ContainsAllTokens(values[i], tokens, found.data());
   });
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "query/predicate.h"
@@ -25,14 +26,18 @@ namespace logstore::query::vectorized {
 uint32_t FilterInt64Compare(const int64_t* values, uint32_t n, CompareOp op,
                             int64_t operand, uint64_t* words);
 
-uint32_t FilterStringEq(const std::string* values, uint32_t n,
-                        const std::string& operand, uint64_t* words);
+uint32_t FilterStringEq(const std::string_view* values, uint32_t n,
+                        std::string_view operand, uint64_t* words);
 
 // Full-text MATCH fallback scan: a row is selected iff every query token
 // (pre-tokenized ONCE by the caller, never per row) appears among the
-// row value's tokens. An empty token list selects every row, as the
-// inverted-index probe (LogBlockReader::InvertedMatchAllTokens) does.
-uint32_t FilterMatchTokens(const std::string* values, uint32_t n,
+// row value's tokens as index::Tokenize defines them: maximal
+// std::isalnum runs, lower-cased. The value is scanned in place — no
+// token is materialized — and the scan stops once every query token is
+// found. Duplicate query tokens are allowed, and an empty token list
+// selects every row, as the inverted-index probe
+// (LogBlockReader::InvertedMatchAllTokens) does.
+uint32_t FilterMatchTokens(const std::string_view* values, uint32_t n,
                            const std::vector<std::string>& tokens,
                            uint64_t* words);
 

@@ -165,9 +165,51 @@ TEST(CodingTest, VarintLengthMatchesEncoding) {
 TEST(Crc32cTest, KnownVectors) {
   // Standard check value: CRC-32C("123456789") = 0xe3069283.
   EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
-  // CRC of 32 zero bytes = 0x8a9136aa (iSCSI test vector).
+  // The RFC 3720 (iSCSI) §B.4 vectors: 32 bytes of zeros, of ones, and
+  // ascending and descending byte values.
   char zeros[32] = {0};
   EXPECT_EQ(crc32c::Value(zeros, sizeof(zeros)), 0x8a9136aau);
+  char ones[32];
+  char ascending[32];
+  char descending[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = static_cast<char>(0xff);
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(crc32c::Value(ones, sizeof(ones)), 0x62a8ab43u);
+  EXPECT_EQ(crc32c::Value(ascending, sizeof(ascending)), 0x46dd794eu);
+  EXPECT_EQ(crc32c::Value(descending, sizeof(descending)), 0x113fdb5cu);
+}
+
+// Test-only reference: the CRC-32C definition, one bit at a time.
+uint32_t BitwiseCrc32c(uint32_t init_crc, const char* data, size_t n) {
+  uint32_t crc = init_crc ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-72 cover the 8-byte main loop with every tail length, and
+  // the offsets cover every start alignment of that loop.
+  Random rng(3720);
+  alignas(8) char buffer[8 + 72];
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n <= 72; ++n) {
+      const char* data = buffer + align;
+      ASSERT_EQ(crc32c::Value(data, n), BitwiseCrc32c(0, data, n))
+          << "align=" << align << " n=" << n;
+      const uint32_t init = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(crc32c::Extend(init, data, n), BitwiseCrc32c(init, data, n))
+          << "align=" << align << " n=" << n;
+    }
+  }
 }
 
 TEST(Crc32cTest, ExtendComposes) {

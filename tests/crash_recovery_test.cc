@@ -81,7 +81,7 @@ void CollectVisibleMarkers(Worker& worker,
       for (size_t b = 0; b < blocks; ++b) {
         auto decoded = (*reader)->ReadColumnBlock(kLogColumn, b);
         ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-        for (const std::string& s : decoded->strs) markers->insert(s);
+        for (std::string_view s : decoded->strs) markers->emplace(s);
       }
     }
   }

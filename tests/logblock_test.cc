@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -279,6 +280,36 @@ TEST(LogBlockReaderTest, AllCodecsRoundTrip) {
     auto decoded = (*reader)->ReadColumnBlock(5, 0);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->strs[0], batch.StringAt(5, 0));
+  }
+}
+
+TEST(LogBlockReaderTest, StringViewsSurviveMovingTheBlock) {
+  // A string block whose decompressed values total fewer than 16 bytes:
+  // held in a std::string, those bytes would sit in its inline buffer and
+  // move with it, leaving the views dangling.
+  RowBatch batch(RequestLogSchema());
+  batch.AddRow({Value::Int64(1), Value::Int64(10), Value::String("a"),
+                Value::Int64(5), Value::String("no"), Value::String("x")});
+  batch.AddRow({Value::Int64(1), Value::Int64(20), Value::String("bc"),
+                Value::Int64(6), Value::String("yes"), Value::String("")});
+  for (auto codec : {compress::CodecType::kNone, compress::CodecType::kLzRatio}) {
+    auto reader = BuildAndOpen(batch, {.codec = codec});
+    ASSERT_TRUE(reader.ok());
+    std::map<int, DecodedColumnBlock> blocks;
+    for (int col : {2, 4, 5}) {
+      auto decoded = (*reader)->ReadColumnBlock(col, 0);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_LT(decoded->buffer->size(), 16u);
+      blocks.emplace(col, std::move(decoded).value());
+    }
+    for (int col : {2, 4, 5}) {
+      const DecodedColumnBlock& block = blocks.at(col);
+      ASSERT_EQ(block.row_count(), 2u);
+      for (uint32_t r = 0; r < 2; ++r) {
+        EXPECT_EQ(block.strs[r], batch.StringAt(col, r))
+            << "col=" << col << " row=" << r;
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include "logblock/logblock_reader.h"
 #include "logblock/logblock_writer.h"
 #include "objectstore/memory_object_store.h"
+#include "objectstore/retrying_object_store.h"
 #include "objectstore/simulated_object_store.h"
 #include "prefetch/cached_source.h"
 #include "prefetch/prefetch_service.h"
@@ -63,6 +64,96 @@ TEST_F(PrefetchServiceTest, ReadBeyondObjectFails) {
                           {.threads = 2, .block_size = 4});
   EXPECT_FALSE(service.Read("obj", 5, 100).ok());
   EXPECT_FALSE(service.Read("missing", 0, 1).ok());
+}
+
+// Counts Head calls, which the retry layer issues to verify a short read.
+class HeadCountingStore : public objectstore::ObjectStore {
+ public:
+  explicit HeadCountingStore(objectstore::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, const Slice& data) override {
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    return base_->GetRange(key, offset, length);
+  }
+  Result<uint64_t> Head(const std::string& key) override {
+    heads_.fetch_add(1);
+    return base_->Head(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  objectstore::ObjectStoreStats& stats() override { return base_->stats(); }
+
+  uint64_t heads() const { return heads_.load(); }
+
+ private:
+  objectstore::ObjectStore* base_;
+  std::atomic<uint64_t> heads_{0};
+};
+
+TEST_F(PrefetchServiceTest, KnownObjectSizeClampsTailReads) {
+  // 10000 bytes in 1024-byte blocks: the last block is short, so an
+  // unclamped fetch of it comes back short and the retry layer proves
+  // end-of-object with a Head. With the size known, no fetch is short.
+  const std::string data = MakeObject(10000, 11);
+  ASSERT_TRUE(store_->Put("obj", data).ok());
+  HeadCountingStore counting(store_.get());
+  objectstore::RetryingObjectStore retrying(&counting);
+  ASSERT_TRUE(retrying.options().verify_short_reads);
+
+  {
+    PrefetchService service(&retrying, cache_.get(),
+                            {.threads = 2, .block_size = 1024});
+    auto got = service.Read("obj", 9000, 1000);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, data.substr(9000));
+    EXPECT_GT(counting.heads(), 0u) << "unknown size: the tail read is short";
+  }
+
+  ASSERT_TRUE(store_->Put("obj2", data).ok());
+  const uint64_t heads_before = counting.heads();
+  PrefetchService service(&retrying, cache_.get(),
+                          {.threads = 2, .block_size = 1024});
+  // A prefetch past the end and reads that reach the last block.
+  service.Prefetch(/*owner=*/1, "obj2", {{8000, 4096}}, data.size());
+  service.WaitIdle();
+  for (auto [offset, size] : std::vector<std::pair<uint64_t, uint64_t>>{
+           {9000, 1000}, {0, 10000}, {9999, 1}}) {
+    auto got = service.Read("obj2", offset, size, data.size());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, data.substr(offset, size)) << offset << "+" << size;
+  }
+  EXPECT_EQ(counting.heads(), heads_before);
+  EXPECT_EQ(retrying.retry_stats().short_reads.load(), 0u);
+}
+
+TEST_F(PrefetchServiceTest, ObjectShorterThanKnownSizeStillFails) {
+  // The map says 10000 bytes but the store holds 6000: the clamped fetch
+  // still comes back short, the retry layer's Head check runs as before,
+  // and the read fails as a retryable IOError instead of returning fewer
+  // bytes.
+  const std::string data = MakeObject(10000, 12);
+  ASSERT_TRUE(store_->Put("obj", data.substr(0, 6000)).ok());
+  HeadCountingStore counting(store_.get());
+  objectstore::RetryingObjectStore retrying(&counting);
+  PrefetchService service(&retrying, cache_.get(),
+                          {.threads = 2, .block_size = 1024});
+
+  auto tail = service.Read("obj", 5000, 2000, data.size());
+  EXPECT_TRUE(tail.status().IsIOError()) << tail.status().ToString();
+  auto whole = service.Read("obj", 0, 10000, data.size());
+  EXPECT_TRUE(whole.status().IsIOError()) << whole.status().ToString();
+  EXPECT_GT(counting.heads(), 0u);
+  auto head = service.Read("obj", 0, 1000, data.size());
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(*head, data.substr(0, 1000));
 }
 
 TEST_F(PrefetchServiceTest, CacheAvoidsRefetch) {

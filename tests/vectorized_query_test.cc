@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/data_builder.h"
 #include "common/random.h"
+#include "index/inverted_index.h"
 #include "index/rowid_set.h"
 #include "objectstore/memory_object_store.h"
 #include "query/aggregation.h"
@@ -99,7 +102,7 @@ TEST(FilterKernelTest, Int64CompareMatchesPredicateEval) {
 }
 
 TEST(FilterKernelTest, StringEqAndMatchTokens) {
-  const std::vector<std::string> values = {
+  const std::vector<std::string_view> values = {
       "connection timeout on 192.168.0.1", "ok",           "timeout",
       "retry after timeout budget",        "connection ok", ""};
   const uint32_t n = static_cast<uint32_t>(values.size());
@@ -123,6 +126,64 @@ TEST(FilterKernelTest, StringEqAndMatchTokens) {
   // Empty token list selects every row (the inverted-index probe contract).
   EXPECT_EQ(vectorized::FilterMatchTokens(values.data(), n, {}, words.data()),
             n);
+}
+
+// The MATCH kernel scans values in place; its definition is index::Tokenize:
+// a row matches iff every query token is among Tokenize(value).
+TEST(FilterKernelTest, MatchTokensAgreesWithTokenize) {
+  Random rng(1515);
+  // Mixed case, digits, punctuation, bytes >= 0x80 and runs of separators.
+  const std::string alphabet =
+      "abcXYZ019 -._/:=\t\x80\xc3\xa9\xff";
+  auto random_text = [&](size_t max_len) {
+    std::string text(rng.Uniform(max_len + 1), '\0');
+    for (char& c : text) c = alphabet[rng.Uniform(alphabet.size())];
+    return text;
+  };
+  for (int round = 0; round < 300; ++round) {
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(150));
+    std::vector<std::string> owned(n);
+    for (auto& v : owned) v = random_text(rng.Uniform(4) == 0 ? 0 : 24);
+    const std::vector<std::string_view> values(owned.begin(), owned.end());
+
+    // Query tokens: tokens of some row (so matches happen), random text
+    // tokenized like a query, duplicates, and now and then none at all.
+    std::vector<std::string> tokens;
+    const size_t want = rng.Uniform(4);
+    for (size_t t = 0; t < want; ++t) {
+      const auto row_tokens = index::Tokenize(owned[rng.Uniform(n)]);
+      if (!row_tokens.empty() && rng.Uniform(3) != 0) {
+        tokens.push_back(row_tokens[rng.Uniform(row_tokens.size())]);
+      } else {
+        for (auto& tok : index::Tokenize(random_text(6))) {
+          tokens.push_back(std::move(tok));
+        }
+      }
+    }
+    if (!tokens.empty() && rng.Uniform(4) == 0) tokens.push_back(tokens[0]);
+
+    std::vector<uint64_t> words((n + 63) / 64, ~0ull);
+    const uint32_t hits =
+        vectorized::FilterMatchTokens(values.data(), n, tokens, words.data());
+    uint32_t expected_hits = 0;
+    for (uint32_t j = 0; j < n; ++j) {
+      const auto value_tokens = index::Tokenize(owned[j]);
+      bool want_row = true;
+      for (const std::string& t : tokens) {
+        if (std::find(value_tokens.begin(), value_tokens.end(), t) ==
+            value_tokens.end()) {
+          want_row = false;
+        }
+      }
+      expected_hits += want_row ? 1 : 0;
+      ASSERT_EQ(((words[j / 64] >> (j % 64)) & 1) != 0, want_row)
+          << "round=" << round << " row=" << j << " value=" << owned[j];
+    }
+    EXPECT_EQ(hits, expected_hits) << "round=" << round;
+    if ((n % 64) != 0) {
+      EXPECT_EQ(words.back() & (~0ull << (n % 64)), 0ull) << "round=" << round;
+    }
+  }
 }
 
 // --- Engine-level matrix against the reference evaluator ---
