@@ -34,6 +34,7 @@ struct ScanMeasure {
   double warm_ms = 0;
   uint64_t rows_matched = 0;
   uint64_t vectorized_rows_scanned = 0;
+  uint64_t bytes_decoded = 0;
 };
 
 // The scalar-vs-vectorized columns of the last sweep that still had the
@@ -81,6 +82,7 @@ ScanMeasure RunScan(Dataset* dataset, const query::LogQuery& query,
     m.cold_ms = std::min(m.cold_ms, (NowUs() - start) / 1000.0);
     m.rows_matched = r->stats.exec.rows_matched;
     m.vectorized_rows_scanned = r->stats.exec.vectorized_rows_scanned;
+    m.bytes_decoded = r->stats.exec.bytes_decoded;
   }
   m.warm_ms = 1e18;
   for (int i = 0; i < warm_repeats; ++i) {
@@ -156,8 +158,9 @@ int main() {
   }
 
   printf("\n=== full-scan kernels (query_threads=1) ===\n");
-  printf("%-10s %-10s %-10s %-14s %-14s %-10s\n", "predicate", "cold(ms)",
-         "warm(ms)", "kernel rows", "warm rows/s", "rows");
+  printf("%-10s %-10s %-10s %-14s %-14s %-14s %-10s\n", "predicate",
+         "cold(ms)", "warm(ms)", "kernel rows", "bytes decoded", "warm rows/s",
+         "rows");
 
   std::string scans_json;
   for (const ScanCase& c : cases) {
@@ -165,10 +168,11 @@ int main() {
         RunScan(&dataset, c.query, kColdRepeats, kWarmRepeats);
     const double rows_per_s =
         m.vectorized_rows_scanned / std::max(1e-6, m.warm_ms / 1000.0);
-    printf("%-10s %-10.2f %-10.2f %-14llu %-14.3g %-10llu\n", c.name.c_str(),
-           m.cold_ms, m.warm_ms,
+    printf("%-10s %-10.2f %-10.2f %-14llu %-14llu %-14.3g %-10llu\n",
+           c.name.c_str(), m.cold_ms, m.warm_ms,
            static_cast<unsigned long long>(m.vectorized_rows_scanned),
-           rows_per_s, static_cast<unsigned long long>(m.rows_matched));
+           static_cast<unsigned long long>(m.bytes_decoded), rows_per_s,
+           static_cast<unsigned long long>(m.rows_matched));
     if (!scans_json.empty()) scans_json += ",";
     scans_json += "{\"predicate\":\"" + c.name + "\"";
     scans_json += ",\"cold_ms\":" + JsonNum(m.cold_ms);
@@ -177,6 +181,7 @@ int main() {
     scans_json += ",\"rows_matched\":" + std::to_string(m.rows_matched);
     scans_json += ",\"vectorized_rows_scanned\":" +
                   std::to_string(m.vectorized_rows_scanned);
+    scans_json += ",\"bytes_decoded\":" + std::to_string(m.bytes_decoded);
     scans_json += "}";
   }
 

@@ -221,6 +221,7 @@ Result<DecodedColumnBlock> LogBlockReader::ReadColumnBlock(size_t col,
   // of a Get* + push_back round trip per value.
   DecodedColumnBlock decoded;
   decoded.first_row = block_meta.first_row;
+  decoded.decompressed_bytes = values.size();
   Slice v;
   if (meta_.schema.column(col).type == ColumnType::kInt64) {
     v = Slice(values);

@@ -68,6 +68,7 @@ class StringSource : public LogBlockSource {
 // (a moved small std::string would move its inline bytes with it).
 struct DecodedColumnBlock {
   uint32_t first_row = 0;
+  uint64_t decompressed_bytes = 0;  // size of the decompressed value stream
   std::vector<int64_t> ints;
   std::vector<std::string_view> strs;
   std::unique_ptr<const std::string> buffer;

@@ -31,7 +31,8 @@ struct BoundPredicate {
 // Decoded-column-block cache for the life of ONE block execution: residual
 // predicates on the same column, the aggregation pass, and the gather all
 // reuse a block decoded by an earlier step instead of re-reading and
-// re-decompressing it. Hits are counted in stats (`query.decode_cache_hits`);
+// re-decompressing it. Hits are counted in stats (`query.decode_cache_hits`),
+// misses as the bytes they decompress (`query.vectorized.bytes_decoded`);
 // `column_blocks_scanned` keeps its pre-cache semantics (one count per
 // residual scan pass, hit or not), so cached and uncached runs report
 // identical scan stats.
@@ -50,6 +51,7 @@ class DecodedBlockCache {
     }
     auto decoded = reader_->ReadColumnBlock(col, block_idx);
     if (!decoded.ok()) return decoded.status();
+    stats_->bytes_decoded += decoded->decompressed_bytes;
     auto emplaced = cache_.emplace(key, std::move(decoded).value());
     return &emplaced.first->second;
   }

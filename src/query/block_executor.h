@@ -43,6 +43,9 @@ struct BlockExecStats {
   // re-read and re-decoded (a second predicate or the gather touching a
   // column block the residual scan already decoded).
   uint64_t decode_cache_hits = 0;
+  // Decompressed bytes of the column blocks this execution decoded, once
+  // per decode (a decode-cache miss); deterministic.
+  uint64_t bytes_decoded = 0;
   // Filter-kernel accounting. The first two are deterministic; kernel_ns is
   // wall clock and MUST stay out of byte-equality comparisons.
   uint64_t vectorized_rows_scanned = 0;  // rows run through filter kernels
@@ -55,6 +58,7 @@ struct BlockExecStats {
     index_probes += other.index_probes;
     rows_matched += other.rows_matched;
     decode_cache_hits += other.decode_cache_hits;
+    bytes_decoded += other.bytes_decoded;
     vectorized_rows_scanned += other.vectorized_rows_scanned;
     vectorized_bitmap_hits += other.vectorized_bitmap_hits;
     vectorized_kernel_ns += other.vectorized_kernel_ns;

@@ -278,6 +278,7 @@ void QueryCells::BindTo(metrics::MetricRegistry* registry) {
   column_blocks_skipped = registry->Counter("query.column_blocks_skipped");
   index_probes = registry->Counter("query.index_probes");
   decode_cache_hits = registry->Counter("query.decode_cache_hits");
+  bytes_decoded = registry->Counter("query.vectorized.bytes_decoded");
   vectorized_rows_scanned = registry->Counter("query.vectorized.rows_scanned");
   vectorized_bitmap_hits = registry->Counter("query.vectorized.bitmap_hits");
   vectorized_kernel_ns = registry->Counter("query.vectorized.kernel_ns");
@@ -296,6 +297,7 @@ void QueryCells::Record(const QueryStats& stats) const {
   column_blocks_skipped->fetch_add(stats.exec.column_blocks_skipped, order);
   index_probes->fetch_add(stats.exec.index_probes, order);
   decode_cache_hits->fetch_add(stats.exec.decode_cache_hits, order);
+  bytes_decoded->fetch_add(stats.exec.bytes_decoded, order);
   vectorized_rows_scanned->fetch_add(stats.exec.vectorized_rows_scanned,
                                      order);
   vectorized_bitmap_hits->fetch_add(stats.exec.vectorized_bitmap_hits, order);

@@ -97,6 +97,7 @@ struct QueryCells {
   std::atomic<uint64_t>* column_blocks_skipped = nullptr;
   std::atomic<uint64_t>* index_probes = nullptr;
   std::atomic<uint64_t>* decode_cache_hits = nullptr;
+  std::atomic<uint64_t>* bytes_decoded = nullptr;
   std::atomic<uint64_t>* vectorized_rows_scanned = nullptr;
   std::atomic<uint64_t>* vectorized_bitmap_hits = nullptr;
   std::atomic<uint64_t>* vectorized_kernel_ns = nullptr;

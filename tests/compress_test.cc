@@ -180,31 +180,81 @@ TEST(CodecTest, HostileSizeHeaderIsCorruptionNotAbort) {
   }
 }
 
-// Payloads whose matches sit at offsets 1-16 with lengths around the
-// decoder's 8-byte copy step (and its multiples), separated by random
-// bytes so each run ends where it was built to.
+std::string RandomBytes(size_t n, Random* rng) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng->Uniform(256));
+  return bytes;
+}
+
+// Decodes from a heap copy of exactly the stream's bytes, so that ASan
+// reports any read past the end of the input.
+Status DecompressExactCopy(const Codec* codec, const std::string& stream,
+                           std::string* output) {
+  std::unique_ptr<char[]> copy(new char[stream.size()]);
+  std::copy(stream.begin(), stream.end(), copy.get());
+  return codec->Decompress(Slice(copy.get(), stream.size()), output);
+}
+
+// Matches at offsets 1-40 with lengths 4-70 after literal runs of 0-33
+// bytes: both sides of the decoder's 8- and 16-byte copy widths and of its
+// 16-byte literal copy, including a short last run that ends the input.
+// Each case is decoded from an exactly sized copy and appended to a
+// non-empty output, so a read past the input, a byte left in the copy
+// slack or a damaged prefix fails.
 TEST(CodecTest, RoundTripsShortOffsetsAndCopyBoundaries) {
   Random rng(816);
-  for (uint64_t offset = 1; offset <= 16; ++offset) {
-    for (int round = 0; round < 4; ++round) {
-      std::string input;
-      for (size_t len = 4; len <= 26; ++len) {
-        std::string period(offset, '\0');
-        for (char& c : period) c = static_cast<char>(rng.Uniform(256));
-        input += period;
-        for (size_t i = 0; i < len; ++i) input.push_back(period[i % offset]);
-        for (int i = 0; i < 3; ++i) {
-          input.push_back(static_cast<char>(rng.Uniform(256)));
+  const Codec* lz = GetCodec(CodecType::kLzFast);
+
+  // Token streams built by hand, so every literal length and match shape
+  // appears exactly as listed.
+  for (uint32_t offset = 1; offset <= 40; ++offset) {
+    for (uint32_t lit_len = 0; lit_len <= 33; ++lit_len) {
+      std::string body;
+      std::string expected = RandomBytes(40, &rng);
+      PutVarint32(&body, 40);
+      body += expected;
+      for (uint32_t len = 4; len <= 70; ++len) {
+        PutVarint32(&body, offset);
+        PutVarint32(&body, len - 4);
+        for (uint32_t i = 0; i < len; ++i) {
+          expected.push_back(expected[expected.size() - offset]);
         }
+        const std::string literals = RandomBytes(lit_len, &rng);
+        PutVarint32(&body, lit_len);
+        body += literals;
+        expected += literals;
       }
-      for (CodecType type : {CodecType::kLzFast, CodecType::kLzRatio}) {
-        const Codec* codec = GetCodec(type);
-        std::string compressed, restored;
-        ASSERT_TRUE(codec->Compress(input, &compressed).ok());
-        ASSERT_TRUE(codec->Decompress(compressed, &restored).ok());
-        ASSERT_EQ(restored, input)
-            << codec->name() << " offset=" << offset << " round=" << round;
-      }
+      PutVarint32(&body, 0);  // end of stream
+      std::string stream;
+      PutVarint64(&stream, expected.size());
+      stream += body;
+      std::string restored = "prefix";
+      ASSERT_TRUE(DecompressExactCopy(lz, stream, &restored).ok())
+          << "offset=" << offset << " literals=" << lit_len;
+      ASSERT_EQ(restored, "prefix" + expected)
+          << "offset=" << offset << " literals=" << lit_len;
+    }
+  }
+
+  // Payloads with the same shapes through both compressors: a random
+  // period, a run repeating it, then a random separator so that each run
+  // ends where it was built to.
+  for (uint64_t offset = 1; offset <= 40; ++offset) {
+    std::string input;
+    for (size_t len = 4; len <= 70; ++len) {
+      const std::string period = RandomBytes(offset, &rng);
+      input += period;
+      for (size_t i = 0; i < len; ++i) input.push_back(period[i % offset]);
+      input += RandomBytes((len + offset) % 34, &rng);
+    }
+    for (CodecType type : {CodecType::kLzFast, CodecType::kLzRatio}) {
+      const Codec* codec = GetCodec(type);
+      std::string compressed;
+      ASSERT_TRUE(codec->Compress(input, &compressed).ok());
+      std::string restored = "prefix";
+      ASSERT_TRUE(DecompressExactCopy(codec, compressed, &restored).ok());
+      ASSERT_EQ(restored, "prefix" + input)
+          << codec->name() << " offset=" << offset;
     }
   }
 }

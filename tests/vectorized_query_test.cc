@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cluster/data_builder.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "index/inverted_index.h"
 #include "index/rowid_set.h"
@@ -255,6 +256,9 @@ class VectorizedQueryTest : public ::testing::TestWithParam<int> {
     EXPECT_EQ(actual.stats.exec.decode_cache_hits,
               expected.stats.exec.decode_cache_hits)
         << label;
+    EXPECT_EQ(actual.stats.exec.bytes_decoded,
+              expected.stats.exec.bytes_decoded)
+        << label;
     EXPECT_EQ(actual.stats.exec.vectorized_rows_scanned,
               expected.stats.exec.vectorized_rows_scanned)
         << label;
@@ -302,6 +306,7 @@ TEST_P(VectorizedQueryTest, VectorizedStatsNonzeroWithoutSkipping) {
     auto result = Run(Options(1, /*skipping=*/false), query);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result->stats.exec.vectorized_rows_scanned, 0u);
+    EXPECT_GT(result->stats.exec.bytes_decoded, 0u);
   }
 }
 
@@ -320,19 +325,37 @@ TEST_F(VectorizedQueryTest, DecodeCacheServesGatherAndRepeatPredicates) {
   EXPECT_GT(result->stats.exec.decode_cache_hits, 0u);
 
   // Two predicates on one column: the second predicate's scan reuses the
-  // first's decodes (skipping off so both scan every block).
-  LogQuery two;
-  two.tenant_id = 1;
-  two.ts_min = 0;
-  two.ts_max = kHistory;
-  two.predicates.push_back(
+  // first's decodes (skipping off so both scan every block). The second
+  // predicate matches every row, so the query without it decodes the same
+  // blocks: fewer scans and cache hits, the same bytes decoded, because a
+  // block counts once per decode.
+  LogQuery one;
+  one.tenant_id = 1;
+  one.ts_min = 0;
+  one.ts_max = kHistory;
+  one.predicates.push_back(
       Predicate::Int64Compare("latency", CompareOp::kGe, 100));
+  one.select_columns = {"ts"};
+  LogQuery two = one;
   two.predicates.push_back(
       Predicate::Int64Compare("latency", CompareOp::kLt, 100'000));
-  two.select_columns = {"ts"};
-  auto repeat = Run(Options(1, /*skipping=*/false), two);
+  metrics::MetricRegistry registry;
+  EngineOptions options = Options(1, /*skipping=*/false);
+  options.registry = &registry;
+  auto single = Run(options, one);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  auto repeat = Run(options, two);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
-  EXPECT_GT(repeat->stats.exec.decode_cache_hits, 0u);
+  EXPECT_GT(repeat->stats.exec.decode_cache_hits,
+            single->stats.exec.decode_cache_hits);
+  EXPECT_GT(repeat->stats.exec.column_blocks_scanned,
+            single->stats.exec.column_blocks_scanned);
+  EXPECT_GT(single->stats.exec.bytes_decoded, 0u);
+  EXPECT_EQ(repeat->stats.exec.bytes_decoded,
+            single->stats.exec.bytes_decoded);
+  EXPECT_EQ(registry.SnapshotMap().at("query.vectorized.bytes_decoded"),
+            static_cast<int64_t>(single->stats.exec.bytes_decoded +
+                                 repeat->stats.exec.bytes_decoded));
 }
 
 TEST_P(VectorizedQueryTest, AggregationPushdownMatchesReference) {
