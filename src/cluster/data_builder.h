@@ -51,8 +51,12 @@ class DataBuilder {
               DataBuilderOptions options = {});
 
   // Runs one build pass over `row_store`; returns the number of LogBlocks
-  // produced. The row store is truncated past the archived rows only after
-  // every upload of the pass succeeded.
+  // produced. The pass builds and uploads its LogBlocks concurrently on a
+  // process-wide pool, with the calling thread helping. It registers them
+  // all or none: only when every upload succeeded does it add the map
+  // entries and archived keys and truncate the row store past the archived
+  // rows. A failed pass keeps every row; what it did upload stays on the
+  // store, unreferenced.
   Result<int> BuildOnce(rowstore::RowStore* row_store);
 
   // Restarts object-key numbering after catalog recovery, so new LogBlocks
@@ -64,9 +68,9 @@ class DataBuilder {
   uint64_t rows_archived() const { return rows_archived_.load(); }
   uint64_t bytes_uploaded() const { return bytes_uploaded_.load(); }
 
-  // Object keys this builder instance has uploaded, in upload order: the
-  // archived prefix a snapshot of this worker asks a catching-up replica to
-  // trust. Shipped as the snapshot-manifest blob (see
+  // Object keys this builder instance has registered, in key order (by
+  // sequence number): the archived prefix a snapshot of this worker asks a
+  // catching-up replica to trust. Shipped as the snapshot-manifest blob (see
   // Worker::InstallSnapshotHooks); a production deployment would cap or
   // checkpoint this list, the simulation keeps every key of the incarnation.
   std::vector<std::string> ArchivedKeys() const;

@@ -11,8 +11,10 @@
 
 namespace logstore {
 
-// A fixed-size thread pool. Used by the data builder for background
-// archiving and by the parallel prefetch service (§5.2).
+// A fixed-size thread pool. Used by the data builder's process-wide build
+// pool (every build pass encodes and uploads its LogBlocks on it), by each
+// query engine's block-scan pool and by the parallel prefetch service
+// (§5.2).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);

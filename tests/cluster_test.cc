@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "cluster/controller.h"
 #include "cluster/data_builder.h"
 #include "cluster/traffic_sim.h"
+#include "common/metrics.h"
+#include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
 #include "workload/loggen.h"
 #include "workload/zipfian.h"
@@ -74,6 +80,208 @@ TEST(DataBuilderTest, NothingToBuildIsNoop) {
   auto built = builder.BuildOnce(&rows);
   ASSERT_TRUE(built.ok());
   EXPECT_EQ(*built, 0);
+}
+
+// Rows registered for `tenant` in the LogBlock map.
+uint64_t ArchivedRows(const logblock::LogBlockMap& map, uint64_t tenant) {
+  uint64_t rows = 0;
+  for (const auto& entry : map.TenantBlocks(tenant)) rows += entry.row_count;
+  return rows;
+}
+
+// Rows [begin, end) of `batch` as a batch of their own.
+RowBatch SliceRows(const RowBatch& batch, uint32_t begin, uint32_t end) {
+  RowBatch slice(batch.schema());
+  for (uint32_t r = begin; r < end; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < batch.schema().num_columns(); ++c) {
+      row.push_back(batch.ValueAt(c, r));
+    }
+    slice.AddRow(row);
+  }
+  return slice;
+}
+
+void ExpectSameEntries(const std::vector<logblock::LogBlockEntry>& actual,
+                       const std::vector<logblock::LogBlockEntry>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].tenant_id, expected[i].tenant_id) << i;
+    EXPECT_EQ(actual[i].min_ts, expected[i].min_ts) << i;
+    EXPECT_EQ(actual[i].max_ts, expected[i].max_ts) << i;
+    EXPECT_EQ(actual[i].object_key, expected[i].object_key) << i;
+    EXPECT_EQ(actual[i].size_bytes, expected[i].size_bytes) << i;
+    EXPECT_EQ(actual[i].row_count, expected[i].row_count) << i;
+  }
+}
+
+TEST(DataBuilderTest, FailedUploadRegistersNothing) {
+  objectstore::MemoryObjectStore backend;
+  objectstore::FaultInjectingObjectStore store(&backend, {});
+  logblock::LogBlockMap map;
+  DataBuilder builder(&store, &map);
+  rowstore::RowStore rows(logblock::RequestLogSchema());
+  workload::LogGenerator gen(8);
+  rows.Append(1, gen.Generate(1, 1000, 0, 1000));
+  rows.Append(2, gen.Generate(2, 1000, 0, 1000));
+
+  // Tenant 2's LogBlock takes sequence 1; its upload gives up after the
+  // retries while tenant 1's lands.
+  store.BlacklistKey("tenants/2/1.tar");
+  auto failed = builder.BuildOnce(&rows);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  EXPECT_EQ(map.TotalBlocks(), 0u);
+  EXPECT_TRUE(builder.ArchivedKeys().empty());
+  EXPECT_EQ(rows.row_count(), 2000u);  // nothing truncated
+  EXPECT_EQ(builder.rows_archived(), 0u);
+  EXPECT_EQ(builder.blocks_built(), 0u);
+
+  // The retry archives every row once; the failed pass's upload of tenant 1
+  // stays on the store, unreferenced.
+  store.ClearBlacklist();
+  auto retried = builder.BuildOnce(&rows);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(*retried, 2);
+  EXPECT_EQ(ArchivedRows(map, 1), 1000u);
+  EXPECT_EQ(ArchivedRows(map, 2), 1000u);
+  EXPECT_EQ(rows.row_count(), 0u);
+  EXPECT_EQ(builder.rows_archived(), 2000u);
+  EXPECT_EQ(backend.object_count(), 3u);
+}
+
+TEST(DataBuilderTest, BrownoutFailsPassAfterOneJobPerExecutor) {
+  metrics::MetricRegistry registry;
+  objectstore::MemoryObjectStore backend;
+  objectstore::FaultInjectingObjectStore store(&backend, {});
+  store.SetBrownout(0, std::numeric_limits<int64_t>::max());
+  logblock::LogBlockMap map;
+  DataBuilderOptions options;
+  options.retry_options.max_attempts = 3;
+  options.retry_options.initial_backoff_us = 100;
+  options.retry_options.max_backoff_us = 1000;
+  options.retry_options.registry = &registry;
+  DataBuilder builder(&store, &map, options);
+  rowstore::RowStore rows(logblock::RequestLogSchema());
+  workload::LogGenerator gen(9);
+  constexpr uint64_t kTenants = 64;
+  for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    rows.Append(tenant, gen.Generate(tenant, 20, 0, 1000));
+  }
+
+  auto built = builder.BuildOnce(&rows);
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsUnavailable()) << built.status().ToString();
+  EXPECT_EQ(map.TotalBlocks(), 0u);
+  EXPECT_EQ(rows.row_count(), kTenants * 20);
+
+  // No job starts after one has failed: each executor (the pool's threads
+  // and the calling thread) gives up on at most one LogBlock.
+  const uint64_t executors =
+      std::max(1u, std::thread::hardware_concurrency()) + 1;
+  const uint64_t attempts =
+      registry.Counter("objectstore.retry.attempts")->load();
+  EXPECT_GE(attempts, 3u);
+  EXPECT_LE(attempts, std::min(executors, kTenants) * 3);
+  EXPECT_EQ(backend.object_count(), 0u);
+}
+
+// The parallel pass writes what one serial BuildLogBlock per planned job
+// writes: keys numbered consecutively in snapshot order, byte-equal
+// objects, the same map entries, and the same store from any builder.
+TEST(DataBuilderTest, ParallelPassMatchesSerialOracle) {
+  constexpr uint64_t kTenants = 65;
+  constexpr uint64_t kBigTenant = 17;
+  constexpr uint32_t kMaxRows = 400;
+  DataBuilderOptions options;
+  options.max_rows_per_logblock = kMaxRows;
+  options.block_options.rows_per_block = 128;
+  options.key_salt = "s-";
+
+  workload::LogGenerator gen(12);
+  std::map<uint64_t, RowBatch> input;
+  for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    const uint32_t n = tenant == kBigTenant ? 2 * kMaxRows + 123
+                                            : 30 + static_cast<uint32_t>(tenant);
+    input.emplace(tenant, gen.Generate(tenant, n, 0, 3'600'000'000));
+  }
+  // Two rounds of appends interleave the tenants in the row store; each
+  // tenant's snapshot batch is still its rows in order.
+  auto fill = [&](rowstore::RowStore* rows) {
+    for (const auto& [tenant, batch] : input) {
+      rows->Append(tenant, SliceRows(batch, 0, batch.num_rows() / 2));
+    }
+    for (const auto& [tenant, batch] : input) {
+      rows->Append(tenant,
+                   SliceRows(batch, batch.num_rows() / 2, batch.num_rows()));
+    }
+  };
+
+  objectstore::MemoryObjectStore store_a;
+  objectstore::MemoryObjectStore store_b;
+  logblock::LogBlockMap map_a;
+  logblock::LogBlockMap map_b;
+  DataBuilder builder_a(&store_a, &map_a, options);
+  DataBuilder builder_b(&store_b, &map_b, options);
+  rowstore::RowStore rows_a(logblock::RequestLogSchema());
+  rowstore::RowStore rows_b(logblock::RequestLogSchema());
+  fill(&rows_a);
+  fill(&rows_b);
+  auto built_a = builder_a.BuildOnce(&rows_a);
+  auto built_b = builder_b.BuildOnce(&rows_b);
+  ASSERT_TRUE(built_a.ok()) << built_a.status().ToString();
+  ASSERT_TRUE(built_b.ok()) << built_b.status().ToString();
+
+  // Oracle: one serial BuildLogBlock per job, in snapshot order.
+  std::vector<std::string> keys;
+  logblock::LogBlockMap expected_map;
+  uint64_t seq = 0;
+  for (const auto& [tenant, batch] : input) {
+    for (uint32_t begin = 0; begin < batch.num_rows(); begin += kMaxRows) {
+      const uint32_t end = std::min(begin + kMaxRows, batch.num_rows());
+      auto block = logblock::BuildLogBlock(SliceRows(batch, begin, end), tenant,
+                                           options.block_options);
+      ASSERT_TRUE(block.ok());
+      const std::string key = "tenants/" + std::to_string(tenant) + "/s-" +
+                              std::to_string(seq++) + ".tar";
+      auto stored = store_a.Get(key);
+      ASSERT_TRUE(stored.ok()) << key << ": " << stored.status().ToString();
+      EXPECT_TRUE(*stored == block->data) << key << " differs from the oracle";
+      keys.push_back(key);
+      expected_map.Add({.tenant_id = tenant,
+                        .min_ts = block->meta.min_ts,
+                        .max_ts = block->meta.max_ts,
+                        .object_key = key,
+                        .size_bytes = block->data.size(),
+                        .row_count = block->meta.row_count});
+    }
+  }
+  ASSERT_EQ(keys.size(), kTenants + 2);  // the big tenant makes 3 blocks
+  EXPECT_EQ(*built_a, static_cast<int>(keys.size()));
+  EXPECT_EQ(builder_a.next_sequence(), keys.size());
+  EXPECT_EQ(builder_a.ArchivedKeys(), keys);
+  EXPECT_EQ(rows_a.row_count(), 0u);
+  EXPECT_EQ(map_a.Tenants(), expected_map.Tenants());
+  for (uint64_t tenant : expected_map.Tenants()) {
+    ExpectSameEntries(map_a.TenantBlocks(tenant),
+                      expected_map.TenantBlocks(tenant));
+    ExpectSameEntries(map_b.TenantBlocks(tenant),
+                      expected_map.TenantBlocks(tenant));
+  }
+
+  // Nothing else was written, and the second builder wrote the same store.
+  auto listed_a = store_a.List("");
+  auto listed_b = store_b.List("");
+  ASSERT_TRUE(listed_a.ok());
+  ASSERT_TRUE(listed_b.ok());
+  std::vector<std::string> sorted_keys = keys;
+  std::sort(sorted_keys.begin(), sorted_keys.end());
+  EXPECT_EQ(*listed_a, sorted_keys);
+  EXPECT_EQ(*listed_b, sorted_keys);
+  for (const std::string& key : keys) {
+    EXPECT_TRUE(*store_a.Get(key) == *store_b.Get(key)) << key;
+  }
+  EXPECT_EQ(builder_b.ArchivedKeys(), keys);
 }
 
 TEST(ControllerTest, InitialRoutesViaConsistentHash) {
@@ -206,6 +414,56 @@ TEST_F(ClusterTest, TrafficControlCycleRuns) {
   const auto decision = cluster_->RunTrafficControl();
   // With default capacities nothing is hot; the cycle completes cleanly.
   EXPECT_FALSE(decision.scale_needed);
+}
+
+TEST(ClusterBuildPassTest, FailedPassIsRetriedWithoutDuplicates) {
+  objectstore::MemoryObjectStore backend;
+  objectstore::FaultInjectingObjectStore store(&backend, {});
+  ClusterDeploymentOptions options;
+  options.num_workers = 1;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.replicated = false;
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.memory_capacity_bytes = 8 << 20;
+  options.engine.cache_options.ssd_dir.clear();
+  auto cluster = Cluster::Open(&store, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  workload::LogGenerator gen(10);
+  std::map<uint64_t, uint64_t> acked;
+  for (int i = 0; i < 4; ++i) {
+    for (uint64_t tenant : {1, 2}) {
+      ASSERT_TRUE(
+          (*cluster)->Write(tenant, gen.Generate(tenant, 250, 0, 1000)).ok());
+      acked[tenant] += 250;
+    }
+  }
+  auto count = [&](uint64_t tenant) -> uint64_t {
+    query::LogQuery query;
+    query.tenant_id = tenant;
+    query.agg = query::Aggregate::Count();
+    auto result = (*cluster)->Query(query);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->agg.rows : 0;
+  };
+
+  // Worker 0's first incarnation numbers tenant 2's LogBlock 1.
+  store.BlacklistKey("tenants/2/w0-0-1.tar");
+  auto failed = (*cluster)->RunBuildPass();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ((*cluster)->controller()->metadata()->TotalBlocks(), 0u);
+  EXPECT_EQ(count(1), acked[1]);
+  EXPECT_EQ(count(2), acked[2]);
+
+  store.ClearBlacklist();
+  auto retried = (*cluster)->RunBuildPass();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(*retried, 2);
+  EXPECT_EQ(count(1), acked[1]);
+  EXPECT_EQ(count(2), acked[2]);
+  // The failed pass's upload of tenant 1 is an unreferenced object.
+  EXPECT_EQ(backend.object_count(), 3u);
 }
 
 TEST(ReplicatedClusterTest, WritesSurviveThroughRaft) {
