@@ -6,11 +6,8 @@
 // §5 stack including parallel LogBlock execution (query_threads=8).
 //
 // A second section sweeps query_threads over cold-cache multi-block scans
-// (the queries parallel execution actually accelerates), a third compares
-// the scatter/gather cluster read path (§12: fragments executed on the
-// worker engines owning the LogBlocks) against the single-broker-engine
-// path over the same deployment, and everything is emitted to
-// BENCH_fig17.json.
+// (the queries parallel execution actually accelerates), and everything is
+// emitted to BENCH_fig17.json.
 //
 // Expected shape (paper): before, >50% of queries take over 10 s and ~1%
 // over 30 s; after, 75% return within 100 ms, 90% within 1 s, 99% within
@@ -22,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "query_bench_common.h"
 
 using namespace logstore;
@@ -99,81 +95,6 @@ SweepPoint RunMultiBlockScans(Dataset* dataset,
   return point;
 }
 
-struct ScatterSweep {
-  uint32_t tenants = 0;
-  double single_cold_ms = 0;
-  double single_warm_ms = 0;
-  double scatter_cold_ms = 0;
-  double scatter_warm_ms = 0;
-};
-
-// Scatter/gather cluster reads vs the single-broker-engine path, over one
-// 4-worker deployment on simulated OSS. Every tenant spans several
-// LogBlocks across the workers' shards, so the scatter has real fan-out;
-// both paths return byte-identical results (the §12 contract), so the
-// comparison is purely about where the block scans execute. Cold passes
-// follow a full cache clear (broker and workers).
-ScatterSweep RunScatterSweep(bool smoke) {
-  auto base = std::make_unique<objectstore::MemoryObjectStore>();
-  auto store = std::make_unique<objectstore::SimulatedObjectStore>(
-      std::move(base), OssLatency());
-
-  cluster::ClusterDeploymentOptions options;
-  options.num_workers = 4;
-  options.shards_per_worker = 2;
-  options.worker.schema = logblock::RequestLogSchema();
-  options.worker.builder.max_rows_per_logblock = smoke ? 1000 : 4000;
-  options.engine.query_threads = 8;
-  options.engine.prefetch_threads = 32;
-  options.engine.io_block_size = 8 * 1024;
-  options.engine.cache_options.memory_capacity_bytes = 512ull << 20;
-  options.engine.cache_options.ssd_dir.clear();
-  auto cluster = cluster::Cluster::Open(store.get(), options);
-  if (!cluster.ok()) abort();
-
-  ScatterSweep sweep;
-  sweep.tenants = smoke ? 6 : 12;
-  const int writes_per_tenant = smoke ? 8 : 20;
-  const int rows_per_write = smoke ? 400 : 1000;
-  const int64_t history = 48ll * 3600 * 1'000'000;
-  workload::LogGenerator gen(41);
-  for (uint32_t t = 0; t < sweep.tenants; ++t) {
-    for (int i = 0; i < writes_per_tenant; ++i) {
-      const int64_t begin = history * i / writes_per_tenant;
-      const int64_t end = history * (i + 1) / writes_per_tenant;
-      if (!(*cluster)->Write(t, gen.Generate(t, rows_per_write, begin, end))
-               .ok()) {
-        abort();
-      }
-    }
-  }
-  auto built = (*cluster)->RunBuildPass();
-  if (!built.ok() || *built == 0) abort();
-
-  auto run_pass = [&](bool scatter) {
-    double pass_ms = 0;
-    for (uint32_t t = 0; t < sweep.tenants; ++t) {
-      query::LogQuery q;
-      q.tenant_id = t;
-      q.ts_min = 0;
-      q.ts_max = history;
-      q.select_columns = {"ts", "latency"};
-      const int64_t start = NowUs();
-      auto r = scatter ? (*cluster)->Query(q) : (*cluster)->QuerySingleEngine(q);
-      if (!r.ok()) abort();
-      pass_ms += (NowUs() - start) / 1000.0;
-    }
-    return pass_ms;
-  };
-  (*cluster)->ClearQueryCaches();
-  sweep.single_cold_ms = run_pass(false);
-  sweep.single_warm_ms = run_pass(false);
-  (*cluster)->ClearQueryCaches();
-  sweep.scatter_cold_ms = run_pass(true);
-  sweep.scatter_warm_ms = run_pass(true);
-  return sweep;
-}
-
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
   const size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
@@ -247,17 +168,6 @@ int main() {
            sweep.front().cold_ms / std::max(1.0, sweep.back().cold_ms));
   }
 
-  printf("\n=== scatter/gather cluster reads vs single broker engine ===\n");
-  const ScatterSweep scatter = RunScatterSweep(smoke);
-  printf("%-22s %-14s %-14s\n", "path", "cold (ms)", "warm (ms)");
-  printf("%-22s %-14.0f %-14.0f\n", "single-engine", scatter.single_cold_ms,
-         scatter.single_warm_ms);
-  printf("%-22s %-14.0f %-14.0f\n", "scatter (4 workers)",
-         scatter.scatter_cold_ms, scatter.scatter_warm_ms);
-  printf("cold scatter speedup: %.2fx over %u tenants\n",
-         scatter.single_cold_ms / std::max(1.0, scatter.scatter_cold_ms),
-         scatter.tenants);
-
   std::string json = "{\n  \"bench\": \"fig17_overall\",\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
   json += "  \"tenants\": " + std::to_string(kTenants) + ",\n";
@@ -287,17 +197,7 @@ int main() {
             "}";
     json += (i + 1 < sweep.size()) ? ",\n" : "\n";
   }
-  json += "  ],\n";
-  json += "  \"scatter_vs_single\": {";
-  json += "\"tenants\": " + std::to_string(scatter.tenants);
-  json += ", \"single_cold_ms\": " + JsonNum(scatter.single_cold_ms);
-  json += ", \"single_warm_ms\": " + JsonNum(scatter.single_warm_ms);
-  json += ", \"scatter_cold_ms\": " + JsonNum(scatter.scatter_cold_ms);
-  json += ", \"scatter_warm_ms\": " + JsonNum(scatter.scatter_warm_ms);
-  json += ", \"cold_speedup\": " +
-          JsonNum(scatter.single_cold_ms /
-                  std::max(1.0, scatter.scatter_cold_ms));
-  json += "}\n}";
+  json += "  ]\n}";
   WriteBenchJson("BENCH_fig17.json", json);
   return 0;
 }

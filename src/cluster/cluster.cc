@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "common/hash.h"
 #include "rowstore/wal.h"
 
 namespace logstore::cluster {
@@ -61,24 +60,18 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
     // reject every write anyway, and surfacing the recovery error here
     // (rather than on the first Write) makes restart bugs visible.
     LOGSTORE_RETURN_IF_ERROR(cluster->workers_.back()->wal_status());
-    auto worker_engine = cluster->OpenEngine();
-    if (!worker_engine.ok()) return worker_engine.status();
-    cluster->worker_engines_.push_back(std::move(worker_engine).value());
   }
-  query::EngineOptions broker_options = cluster->options_.engine;
-  broker_options.admission = cluster->admission_.get();
-  auto engine = query::QueryEngine::Open(store, broker_options);
+  // One engine serves every read. Its cache budgets are the per-worker
+  // budgets times the worker count (see ClusterDeploymentOptions::engine).
+  query::EngineOptions engine_options = cluster->options_.engine;
+  engine_options.cache_options.memory_capacity_bytes *= options.num_workers;
+  engine_options.cache_options.ssd_capacity_bytes *= options.num_workers;
+  engine_options.object_cache_bytes *= options.num_workers;
+  engine_options.admission = cluster->admission_.get();
+  auto engine = query::QueryEngine::Open(store, engine_options);
   if (!engine.ok()) return engine.status();
   cluster->engine_ = std::move(engine).value();
   return cluster;
-}
-
-Result<std::shared_ptr<query::QueryEngine>> Cluster::OpenEngine() {
-  query::EngineOptions engine_options = options_.engine;
-  engine_options.admission = admission_.get();
-  auto engine = query::QueryEngine::Open(store_, engine_options);
-  if (!engine.ok()) return engine.status();
-  return std::shared_ptr<query::QueryEngine>(std::move(engine).value());
 }
 
 WorkerOptions Cluster::WorkerOptionsFor(uint32_t id) const {
@@ -100,19 +93,15 @@ std::shared_ptr<Worker> Cluster::WorkerRef(uint32_t id) const {
   return id < workers_.size() ? workers_[id] : nullptr;
 }
 
-void Cluster::SnapshotEndpoints(
-    std::vector<std::shared_ptr<Worker>>* workers,
-    std::vector<std::shared_ptr<query::QueryEngine>>* engines) const {
+std::vector<std::shared_ptr<Worker>> Cluster::SnapshotWorkers() const {
   std::lock_guard<std::mutex> lock(workers_mu_);
-  if (workers != nullptr) *workers = workers_;
-  if (engines != nullptr) *engines = worker_engines_;
+  return workers_;
 }
 
 std::shared_ptr<Worker> Cluster::FenceAndRemoveWorker(uint32_t id) {
   std::lock_guard<std::mutex> lock(workers_mu_);
   std::shared_ptr<Worker> worker = std::move(workers_[id]);
   workers_[id] = nullptr;
-  worker_engines_[id] = nullptr;
   // Fence before the slot swap is visible: a broker write already holding
   // the old reference fails instead of acking into a store about to
   // disappear. Readers holding it may finish their realtime scan — their
@@ -121,19 +110,7 @@ std::shared_ptr<Worker> Cluster::FenceAndRemoveWorker(uint32_t id) {
   return worker;
 }
 
-query::QueryEngine* Cluster::worker_engine(uint32_t id) {
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  return id < worker_engines_.size() ? worker_engines_[id].get() : nullptr;
-}
-
-void Cluster::ClearQueryCaches() {
-  engine_->ClearCaches();
-  std::vector<std::shared_ptr<query::QueryEngine>> engines;
-  SnapshotEndpoints(nullptr, &engines);
-  for (auto& engine : engines) {
-    if (engine != nullptr) engine->ClearCaches();
-  }
-}
+void Cluster::ClearQueryCaches() { engine_->ClearCaches(); }
 
 Status Cluster::RestartWorker(uint32_t id) {
   if (id >= num_workers()) return Status::InvalidArgument("no such worker");
@@ -158,12 +135,9 @@ Status Cluster::RestartWorker(uint32_t id) {
     auto worker = std::make_shared<Worker>(id, store_, controller_->metadata(),
                                            WorkerOptionsFor(id));
     LOGSTORE_RETURN_IF_ERROR(worker->wal_status());
-    auto engine = OpenEngine();
-    if (!engine.ok()) return engine.status();
     {
       std::lock_guard<std::mutex> lock(workers_mu_);
       workers_[id] = std::move(worker);
-      worker_engines_[id] = std::move(engine).value();
     }
     return controller_->ReviveWorker(id);
   }
@@ -179,11 +153,8 @@ Status Cluster::RestartWorker(uint32_t id) {
   auto worker = std::make_shared<Worker>(id, store_, controller_->metadata(),
                                          WorkerOptionsFor(id));
   LOGSTORE_RETURN_IF_ERROR(worker->wal_status());
-  auto engine = OpenEngine();
-  if (!engine.ok()) return engine.status();
   std::lock_guard<std::mutex> lock(workers_mu_);
   workers_[id] = std::move(worker);
-  worker_engines_[id] = std::move(engine).value();
   return Status::OK();
 }
 
@@ -334,8 +305,7 @@ Status Cluster::RecoverTail(uint32_t id, FailoverReport* report) {
 }
 
 std::vector<WorkerHealth> Cluster::HarvestHealth() {
-  std::vector<std::shared_ptr<Worker>> workers;
-  SnapshotEndpoints(&workers, nullptr);
+  const std::vector<std::shared_ptr<Worker>> workers = SnapshotWorkers();
   std::vector<WorkerHealth> reports;
   for (uint32_t id = 0; id < workers.size(); ++id) {
     if (workers[id] == nullptr) {
@@ -691,61 +661,52 @@ std::atomic<uint64_t>* Cluster::TenantCell(uint64_t tenant) {
   return tenant_cells_.emplace(tenant, cell).first->second;
 }
 
-Status Cluster::CollectRealtime(
-    const query::LogQuery& query,
-    const std::vector<std::shared_ptr<Worker>>& workers,
-    const Controller::PlacementView& placement,
-    std::vector<std::pair<uint32_t, logblock::RowBatch>>* batches) {
+namespace {
+
+// The liveness rule of a read: a worker that is dead but not failed over
+// makes the read kUnavailable.
+Status CheckLiveness(const std::vector<std::shared_ptr<Worker>>& workers,
+                     const Controller::PlacementView& placement) {
   for (uint32_t id = 0; id < workers.size(); ++id) {
     const bool alive =
         id < placement.worker_alive.size() && placement.worker_alive[id];
-    if (workers[id] == nullptr) {
-      if (alive) {
-        // Dead process, failover not run yet: its un-archived rows are
-        // unreachable but NOT absent. Refusing the read (retryable) beats
-        // silently dropping them.
-        return Status::Unavailable(
-            "worker " + std::to_string(id) +
-            " is dead but not failed over; retry after the control cycle");
-      }
-      continue;  // failed over: its tail was re-ingested into survivors
+    if (workers[id] == nullptr && alive) {
+      // Dead process, failover not run yet: its un-archived rows are
+      // unreachable but NOT absent. Refusing the read (retryable) beats
+      // silently dropping them.
+      return Status::Unavailable(
+          "worker " + std::to_string(id) +
+          " is dead but not failed over; retry after the control cycle");
     }
-    if (!alive) continue;  // fenced out: its rows were recovered elsewhere
-    batches->emplace_back(
-        id, workers[id]->ScanRealtime(query.tenant_id, query.ts_min,
-                                      query.ts_max, query.predicates));
   }
   return Status::OK();
 }
 
+// Scans the realtime rows a query must merge from the live workers of
+// snapshots that passed CheckLiveness.
+std::vector<std::pair<uint32_t, logblock::RowBatch>> CollectRealtime(
+    const query::LogQuery& query,
+    const std::vector<std::shared_ptr<Worker>>& workers,
+    const Controller::PlacementView& placement) {
+  std::vector<std::pair<uint32_t, logblock::RowBatch>> batches;
+  for (uint32_t id = 0; id < workers.size(); ++id) {
+    const bool alive =
+        id < placement.worker_alive.size() && placement.worker_alive[id];
+    // A null slot here is a failed-over worker (CheckLiveness refused the
+    // rest): its tail was re-ingested into survivors. A fenced-out worker's
+    // rows were recovered elsewhere.
+    if (workers[id] == nullptr || !alive) continue;
+    batches.emplace_back(
+        id, workers[id]->ScanRealtime(query.tenant_id, query.ts_min,
+                                      query.ts_max, query.predicates));
+  }
+  return batches;
+}
+
+}  // namespace
+
 Result<query::QueryResult> Cluster::Query(const query::LogQuery& query) {
-  // Blocks follow placement: each LogBlock belongs to a shard by content
-  // hash of its object key (stable across failovers), and the shard's
-  // CURRENT worker serves it, so a failed-over worker's read load moves with
-  // its shards.
-  Result<query::QueryResult> result = Read(
-      query,
-      [](const logblock::LogBlockEntry& block,
-         const Controller::PlacementView& placement,
-         const std::vector<std::shared_ptr<query::QueryEngine>>& engines)
-          -> Result<query::QueryEngine*> {
-        const uint32_t num_shards =
-            static_cast<uint32_t>(placement.shard_to_worker.size());
-        const uint32_t shard =
-            static_cast<uint32_t>(Hash64(block.object_key) % num_shards);
-        const uint32_t owner = placement.shard_to_worker[shard];
-        const bool alive = owner < placement.worker_alive.size() &&
-                           placement.worker_alive[owner];
-        if (!alive || owner >= engines.size() || engines[owner] == nullptr) {
-          // The owning worker died and its shards have not been reassigned
-          // yet. A retryable condition, exactly like the write path's.
-          return Status::Unavailable(
-              "worker " + std::to_string(owner) + " owning shard " +
-              std::to_string(shard) +
-              " is dead; retry after the control cycle");
-        }
-        return engines[owner].get();
-      });
+  Result<query::QueryResult> result = Read(query);
   // Availability accounting lives on the public dispatcher only —
   // QuerySingleEngine stays out of the denominator.
   availability_cells_.RecordQuery(result.status());
@@ -754,47 +715,37 @@ Result<query::QueryResult> Cluster::Query(const query::LogQuery& query) {
 
 Result<query::QueryResult> Cluster::QuerySingleEngine(
     const query::LogQuery& query) {
-  return Read(query,
-              [this](const logblock::LogBlockEntry&,
-                     const Controller::PlacementView&,
-                     const std::vector<std::shared_ptr<query::QueryEngine>>&)
-                  -> Result<query::QueryEngine*> { return engine_.get(); });
+  return Read(query);
 }
 
-Result<query::QueryResult> Cluster::Read(const query::LogQuery& query,
-                                         const EngineChooser& choose_engine) {
+Result<query::QueryResult> Cluster::Read(const query::LogQuery& query) {
   const int64_t start_us = SystemClock::Default()->NowMicros();
   const uint64_t seq = control_seq_.load(std::memory_order_acquire);
   if (seq % 2 != 0) {
     return Status::Unavailable("control mutation in progress; retry");
   }
   const Controller::PlacementView placement = controller_->PlacementSnapshot();
-  std::vector<std::shared_ptr<Worker>> workers;
-  std::vector<std::shared_ptr<query::QueryEngine>> engines;
-  SnapshotEndpoints(&workers, &engines);
+  const std::vector<std::shared_ptr<Worker>> workers = SnapshotWorkers();
 
-  // The archived blocks: one fragment per chosen engine, merged in global
-  // block-map order.
+  // The liveness rule first: a worker that is dead but not failed over
+  // refuses the read before any block is read.
+  LOGSTORE_RETURN_IF_ERROR(CheckLiveness(workers, placement));
+
   query::QueryResult result;
-  LOGSTORE_RETURN_IF_ERROR(query::QueryEngine::RunFragments(
-      query, *controller_->metadata(),
-      [&](const logblock::LogBlockEntry& block) {
-        return choose_engine(block, placement, engines);
-      },
-      &result));
-
-  // Real-time rows from the live workers, merged after the archived rows
-  // in the deterministic placement-independent order.
-  std::vector<std::pair<uint32_t, logblock::RowBatch>> batches;
   LOGSTORE_RETURN_IF_ERROR(
-      CollectRealtime(query, workers, placement, &batches));
-  LOGSTORE_RETURN_IF_ERROR(
-      query::MergeRealtimeRows(std::move(batches), query, &result));
+      engine_->RunBlocks(query, *controller_->metadata(), &result));
+  // Real-time rows from the live workers, merged after the archived rows.
+  // They are scanned after the archived scan: each scan holds its worker's
+  // row-store lock, which that worker's writes need, while it walks the
+  // whole store, and at the start of the read it stalls the writes that
+  // arrive together with the read (DESIGN.md §12).
+  LOGSTORE_RETURN_IF_ERROR(query::MergeRealtimeRows(
+      CollectRealtime(query, workers, placement), query, &result));
 
   // Read fencing (the §12 analogue of the write-side epoch check): any
   // placement move or control mutation since the snapshot invalidates the
-  // result — some fragments/realtime scans may reflect the old world and
-  // some the new. Retryable, never partial.
+  // result — the archived scan and the realtime scans may reflect
+  // different worlds. Retryable, never partial.
   if (controller_->placement_epoch() != placement.epoch ||
       control_seq_.load(std::memory_order_acquire) != seq) {
     return Status::Unavailable("placement changed during the read; retry");
@@ -807,8 +758,7 @@ Result<query::QueryResult> Cluster::Read(const query::LogQuery& query,
 Result<int> Cluster::RunBuildPass() {
   std::lock_guard<std::mutex> control_lock(control_mu_);
   ControlMutation mutation(&control_seq_);
-  std::vector<std::shared_ptr<Worker>> workers;
-  SnapshotEndpoints(&workers, nullptr);
+  const std::vector<std::shared_ptr<Worker>> workers = SnapshotWorkers();
   int total = 0;
   for (auto& worker : workers) {
     if (worker == nullptr) continue;  // dead worker: nothing to archive

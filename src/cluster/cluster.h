@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <thread>
@@ -32,10 +31,14 @@ struct ClusterDeploymentOptions {
   // worker recovers its term/vote/log/watermark from disk.
   WorkerOptions worker;
   ControllerOptions controller;
+  // Options of the deployment's one query engine. Its cache budgets
+  // (cache_options.memory_capacity_bytes, cache_options.ssd_capacity_bytes
+  // and object_cache_bytes) are per worker, as each worker node of the
+  // paper has its own caches: the engine gets num_workers times each.
   query::EngineOptions engine;
-  // Cluster-wide execution-slot budget shared by the broker engine and
-  // every worker engine. 0 = 2 * engine.query_threads (the fleet can run
-  // two engines' worth of block scans at once before queueing starts).
+  // Execution-slot budget every block scan of the engine acquires, queued
+  // fairly per tenant. 0 = 2 * engine.query_threads (a full query pool plus
+  // as many inline scans on callers' threads before queueing starts).
   int admission_slots = 0;
   // Escalation-ladder knobs for the control cycle (replica-recovery attempt
   // budget, election patience).
@@ -72,10 +75,11 @@ struct MonitorStats {
 
 // An in-process LogStore deployment (Figure 3): brokers route tenant writes
 // by the controller's routing table to workers' shards; data builders
-// archive to the object store; queries scatter across the workers owning
-// the LogBlocks and merge with the real-time row stores. This is the
-// functional simulation of the multi-node production system — one address
-// space, same code paths.
+// archive to the object store; queries scan the LogBlocks on one query
+// engine and merge the live workers' real-time row stores. This is the
+// functional simulation of the multi-node production system in one address
+// space: the workers share one query pool, prefetch service and cache
+// instead of running a copy each.
 class Cluster {
  public:
   // `store` must outlive the cluster.
@@ -88,19 +92,17 @@ class Cluster {
   // after RunControlCycle instead of crashing into a null worker.
   Status Write(uint64_t tenant, const logblock::RowBatch& rows);
 
-  // Broker read path (§12): the query's pruned LogBlocks are partitioned by
-  // owning worker (shard = hash(object_key), worker = placement snapshot),
-  // executed on the owners' engines in parallel, and merged broker-side in
-  // global LogBlock-map order; real-time rows from the live workers merge
-  // after in a deterministic placement-independent order. Byte-identical to
-  // QuerySingleEngine. Returns kUnavailable (retryable) when an owning
-  // worker is dead or the placement moved mid-query — never a partial
-  // result.
+  // Broker read path (§12): the query's pruned LogBlocks run on the
+  // cluster's one engine and merge in LogBlock-map order; real-time rows
+  // from the live workers merge after in a deterministic
+  // placement-independent order. Returns kUnavailable (retryable) when a
+  // worker is dead but not yet failed over, or a control mutation or
+  // placement move overlapped the read — never a partial result. Counted
+  // in the cluster.availability.* cells.
   Result<query::QueryResult> Query(const query::LogQuery& query);
 
-  // The same read with every LogBlock in one fragment on the broker's own
-  // engine: same merge, realtime rows and fencing, so its bytes must equal
-  // Query's whatever the placement. Not counted in the availability cells.
+  // The same read as Query, kept for callers that compare against it; not
+  // counted in the availability cells.
   Result<query::QueryResult> QuerySingleEngine(const query::LogQuery& query);
 
   // Background tasks, invoked by tests/benches instead of timers.
@@ -208,14 +210,12 @@ class Cluster {
   uint32_t num_workers() const {
     return static_cast<uint32_t>(options_.num_workers);
   }
+  // The one query engine every read runs on; it lives as long as the
+  // cluster, whatever happens to the workers.
   query::QueryEngine* engine() { return engine_.get(); }
-  // Worker `id`'s query endpoint (the engine its fragments execute on);
-  // null while the worker is dead.
-  query::QueryEngine* worker_engine(uint32_t id);
   query::AdmissionGovernor* admission() { return admission_.get(); }
 
-  // Drops every engine's cached state, broker and workers (for cold-cache
-  // measurements).
+  // Drops the engine's cached state (for cold-cache measurements).
   void ClearQueryCaches();
 
   ~Cluster() { StopMonitor(); }
@@ -244,45 +244,22 @@ class Cluster {
   // recovered write could be routed at a worker about to be failed over.
   Status RecoverTail(uint32_t id, FailoverReport* report);
 
-  // Opens a fresh engine wired to the shared admission governor.
-  Result<std::shared_ptr<query::QueryEngine>> OpenEngine();
-
-  // Slot accessors: worker/engine slots are shared_ptrs guarded by
-  // workers_mu_, so a reader holds the OBJECT alive while a failover nulls
-  // the SLOT — the in-process analogue of a connection outliving the
-  // cluster membership change. Never hold workers_mu_ across worker calls.
+  // Slot accessors: worker slots are shared_ptrs guarded by workers_mu_,
+  // so a reader holds the OBJECT alive while a failover nulls the SLOT —
+  // the in-process analogue of a connection outliving the cluster
+  // membership change. Never hold workers_mu_ across worker calls.
   std::shared_ptr<Worker> WorkerRef(uint32_t id) const;
-  void SnapshotEndpoints(
-      std::vector<std::shared_ptr<Worker>>* workers,
-      std::vector<std::shared_ptr<query::QueryEngine>>* engines) const;
-  // Fences worker `id` (if present) and nulls its worker + engine slots,
-  // returning the old worker object. Part of every kill/failover.
+  std::vector<std::shared_ptr<Worker>> SnapshotWorkers() const;
+  // Fences worker `id` (if present) and nulls its slot, returning the old
+  // worker object. Part of every kill/failover.
   std::shared_ptr<Worker> FenceAndRemoveWorker(uint32_t id);
 
-  // Gathers the realtime batches a query must merge, under the read-fence
-  // rules: a dead-but-not-failed-over worker makes the result kUnavailable
-  // (its un-archived rows are temporarily unreachable, not absent), a
-  // failed-over worker contributes nothing (its tail was re-ingested into
-  // the survivors).
-  Status CollectRealtime(
-      const query::LogQuery& query,
-      const std::vector<std::shared_ptr<Worker>>& workers,
-      const Controller::PlacementView& placement,
-      std::vector<std::pair<uint32_t, logblock::RowBatch>>* batches);
-
-  // Picks the engine that scans one pruned LogBlock from the read's
-  // placement and worker-engine snapshots; kUnavailable when none may.
-  using EngineChooser = std::function<Result<query::QueryEngine*>(
-      const logblock::LogBlockEntry& block,
-      const Controller::PlacementView& placement,
-      const std::vector<std::shared_ptr<query::QueryEngine>>& engines)>;
-
   // The one read path behind Query and QuerySingleEngine: snapshots the
-  // control seqlock, placement and endpoints, runs the archived blocks
-  // through QueryEngine::RunFragments with `choose_engine`, merges the
-  // realtime rows, re-checks the fence and records `query.*`.
-  Result<query::QueryResult> Read(const query::LogQuery& query,
-                                  const EngineChooser& choose_engine);
+  // control seqlock, placement and workers, applies the liveness rule (so a
+  // dead worker refuses the read before any block is read), runs the
+  // archived blocks through the engine's RunBlocks, then scans and merges
+  // the realtime rows, re-checks the fence and records `query.*`.
+  Result<query::QueryResult> Read(const query::LogQuery& query);
 
   // Write() body; the public wrapper classifies the outcome into the
   // cluster.availability.* cells on every exit path.
@@ -291,15 +268,13 @@ class Cluster {
   ClusterDeploymentOptions options_;
   objectstore::ObjectStore* store_ = nullptr;
   std::unique_ptr<Controller> controller_;
-  // Declared before the engines that reference it (destroyed after them).
+  // Declared before the engine that references it (destroyed after it).
   std::unique_ptr<query::AdmissionGovernor> admission_;
 
   mutable std::mutex workers_mu_;
   std::vector<std::shared_ptr<Worker>> workers_;  // guarded by workers_mu_
-  // Per-worker query endpoints, same indexing. Guarded by workers_mu_.
-  std::vector<std::shared_ptr<query::QueryEngine>> worker_engines_;
 
-  std::unique_ptr<query::QueryEngine> engine_;  // broker-side engine
+  std::unique_ptr<query::QueryEngine> engine_;
   Random rng_;
 
   // Read-side fence for in-process control mutations, a seqlock: odd while
@@ -367,7 +342,7 @@ class Cluster {
     void BindTo(metrics::MetricRegistry* registry);
   };
   MonitorCells monitor_cells_;
-  // `query.*` for cluster reads, bound to the engines' registry.
+  // `query.*` for cluster reads, bound to the engine's registry.
   query::QueryCells query_cells_;
 
   // Availability accounting (cluster.availability.*): every broker write
@@ -375,7 +350,7 @@ class Cluster {
   // harness samples these cells into time buckets to compute write-success
   // rate over wall clock the way Taurus's evaluation does; `*_unavailable`
   // counts the retryable kUnavailable refusals (dead route, control-seqlock
-  // overlap, epoch move, brownout surfacing through a worker engine) that
+  // overlap, epoch move, brownout surfacing through the engine) that
   // the availability floor is measured against. Other errors (bad query,
   // admission aborts) land in `*_errors` so refusal and failure stay
   // distinguishable.

@@ -170,7 +170,7 @@ Controller::RebalanceDecision Controller::RebalanceBack() {
     }
   }
   if (!decision.moved.empty()) {
-    // One epoch bump for the whole pass: a scatter read routed by the old
+    // One epoch bump for the whole pass: a read that snapshotted the old
     // placement fails its epoch re-check and retries against the settled
     // map. (Writes acked to a donor are safe — it stays a live, archiving
     // worker — so only readers need the fence.)

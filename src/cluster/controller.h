@@ -92,9 +92,9 @@ class Controller {
   }
 
   // Atomic snapshot of the placement map, liveness vector, and epoch — one
-  // lock acquisition, so a broker's scatter routing can never observe a
-  // half-applied failover. The read-side analogue of the write fencing:
-  // route by the snapshot, re-check the epoch after the read.
+  // lock acquisition, so a read can never observe a half-applied failover.
+  // The read-side analogue of the write fencing: read by the snapshot,
+  // re-check the epoch after the read.
   struct PlacementView {
     uint64_t epoch = 0;
     std::vector<uint32_t> shard_to_worker;
@@ -134,7 +134,7 @@ class Controller {
   // are the most-shard-loaded live workers; the shards moved are their
   // coldest by the last harvested shard loads, and a move never pushes the
   // target past the balancer's worker capacity. All moves land under one
-  // placement-epoch bump, so an in-flight scatter read routed by the old
+  // placement-epoch bump, so an in-flight read that snapshotted the old
   // placement fails its epoch re-check and retries.
   struct RebalanceDecision {
     uint64_t epoch = 0;                  // placement epoch after the pass

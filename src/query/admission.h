@@ -16,7 +16,7 @@ namespace logstore::query {
 class AdmissionGovernor;
 
 // Wakes admission waiters when a cancellation flag flips. The flag owners
-// (limit trackers, fragment error paths) flip their flags without holding
+// (limit trackers, block error paths) flip their flags without holding
 // any governor lock, so a waiter blocked inside Acquire cannot observe the
 // flip through its condition variable alone; routing the flip through
 // SignalCancel gives the waiter a direct wakeup instead of a polling loop.

@@ -67,7 +67,7 @@ inline Int64Rollup RollupInt64(const std::vector<logblock::Value>& values) {
 }
 
 // A partial aggregate computed below the merge — per column block, per
-// LogBlock, per fragment — and combined by the broker. Every combine is
+// LogBlock — and combined by the merge. Every combine is
 // order-independent (count/sum/min/max are commutative; groups merge by
 // key), so the merged result is placement- and scheduling-independent.
 //

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "prefetch/cached_source.h"
 
@@ -163,11 +162,13 @@ Status MergeRealtimeRows(
   return Status::OK();
 }
 
+namespace {
+
 // One block's outcome within a read. `status` is Aborted when the block was
 // cooperatively cancelled (limit secured, a peer's real error, or
 // cancellation while queued for an admission slot) — Aborted never escapes
 // the merge.
-struct FragmentSlot {
+struct BlockSlot {
   Status status;
   bool ran = false;  // true iff `exec` holds a real result
   BlockExecResult exec;
@@ -175,20 +176,18 @@ struct FragmentSlot {
 };
 
 // Fires the shared cancel flag once the limit is secured in completed-
-// prefix order across ALL fragments of one read — the §11 rule ("every
-// block before the cut is done and already supplies `limit` rows") applied
-// to global block indices, so a cancel never aborts a block the merge will
-// reach before the limit cut.
-class ScatterLimitTracker {
+// prefix order — the §11 rule ("every block before the cut is done and
+// already supplies `limit` rows") — so a cancel never aborts a block the
+// merge will reach before the limit cut.
+class LimitTracker {
  public:
-  ScatterLimitTracker(size_t num_blocks, uint32_t limit,
-                      std::atomic<bool>* cancel)
+  LimitTracker(size_t num_blocks, uint32_t limit, std::atomic<bool>* cancel)
       : limit_(limit),
         cancel_(cancel),
         done_(num_blocks, 0),
         rows_(num_blocks, 0) {}
 
-  void OnBlockDone(size_t index, const FragmentSlot& slot) {
+  void OnBlockDone(size_t index, const BlockSlot& slot) {
     if (limit_ == 0) return;  // unlimited: nothing to secure
     std::lock_guard<std::mutex> lock(mu_);
     done_[index] = 1;
@@ -198,10 +197,10 @@ class ScatterLimitTracker {
       ++prefix_len_;
     }
     if (prefix_rows_ >= limit_) {
-      // Limit secured in completed-prefix order across every fragment: all
-      // in-flight work has a strictly higher global block index, provably
-      // beyond the limit cut. Never fires speculatively. SignalCancel also
-      // wakes any peer block parked in the admission governor on this flag.
+      // Limit secured in completed-prefix order: all in-flight work has a
+      // strictly higher block index, provably beyond the limit cut. Never
+      // fires speculatively. SignalCancel also wakes any peer block parked
+      // in the admission governor on this flag.
       SignalCancel(cancel_);
     }
   }
@@ -216,16 +215,13 @@ class ScatterLimitTracker {
   uint64_t prefix_rows_ = 0;    // rows matched inside that prefix
 };
 
-namespace {
-
 // Deterministic merge of a read's slots in block-map order, trimming at the
 // limit. `slots` is consumed.
-Status MergeFragmentSlots(const LogQuery& query,
-                          std::vector<FragmentSlot>& slots,
-                          QueryResult* result) {
+Status MergeBlockSlots(const LogQuery& query, std::vector<BlockSlot>& slots,
+                       QueryResult* result) {
   const size_t n = slots.size();
   for (size_t i = 0; i < n; ++i) {
-    FragmentSlot& slot = slots[i];
+    BlockSlot& slot = slots[i];
     if (!slot.ran) {
       // This block failed, or was cooperatively aborted after a later
       // block's real failure triggered cancellation (a limit-triggered
@@ -379,91 +375,40 @@ Result<QueryResult> QueryEngine::Execute(const LogQuery& query,
                                          const logblock::LogBlockMap& map) {
   const int64_t start_us = SystemClock::Default()->NowMicros();
   QueryResult result;
-  LOGSTORE_RETURN_IF_ERROR(RunFragments(
-      query, map,
-      [this](const logblock::LogBlockEntry&) -> Result<QueryEngine*> {
-        return this;
-      },
-      &result));
+  LOGSTORE_RETURN_IF_ERROR(RunBlocks(query, map, &result));
   result.stats.elapsed_us = SystemClock::Default()->NowMicros() - start_us;
   query_cells_.Record(result.stats);
   return result;
 }
 
-Status QueryEngine::RunFragments(const LogQuery& query,
-                                 const logblock::LogBlockMap& map,
-                                 const EngineChooser& choose_engine,
-                                 QueryResult* result) {
+Status QueryEngine::RunBlocks(const LogQuery& query,
+                              const logblock::LogBlockMap& map,
+                              QueryResult* result) {
   // Figure 8 step 1: prune via the LogBlock map on <tenant, min_ts, max_ts>.
   const auto all_blocks = map.TenantBlocks(query.tenant_id);
   const auto blocks = map.Prune(query.tenant_id, query.ts_min, query.ts_max);
   result->stats.logblocks_total = all_blocks.size();
   result->stats.logblocks_pruned = all_blocks.size() - blocks.size();
-
-  struct Fragment {
-    std::vector<logblock::LogBlockEntry> blocks;
-    std::vector<size_t> tags;  // global block-map indices
-  };
-  std::map<QueryEngine*, Fragment> fragments;
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    auto engine = choose_engine(blocks[i]);
-    if (!engine.ok()) return engine.status();
-    Fragment& fragment = fragments[*engine];
-    fragment.blocks.push_back(blocks[i]);
-    fragment.tags.push_back(i);
-  }
-
-  // Every fragment runs under one shared cancel flag and one GLOBAL limit
-  // tracker and writes its blocks' slots at their global indices, so the
-  // §11 limit / error / determinism contracts hold across the whole block
-  // list however it was partitioned. Aggregates scan every block, so the
-  // limit never arms the tracker.
-  std::vector<FragmentSlot> slots(blocks.size());
-  std::atomic<bool> cancel{false};
-  ScatterLimitTracker tracker(blocks.size(),
-                              query.is_aggregate() ? 0 : query.limit, &cancel);
-  auto run_fragment = [&](QueryEngine* engine, const Fragment& fragment) {
-    engine->ExecuteFragment(query, fragment.blocks, fragment.tags, &cancel,
-                            &tracker, &slots);
-  };
-  if (fragments.size() <= 1) {
-    for (auto& [engine, fragment] : fragments) run_fragment(engine, fragment);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(fragments.size());
-    for (auto& [engine, fragment] : fragments) {
-      threads.emplace_back(run_fragment, engine, std::cref(fragment));
-    }
-    for (auto& thread : threads) thread.join();
-  }
-
-  LOGSTORE_RETURN_IF_ERROR(MergeFragmentSlots(query, slots, result));
-  // Aggregate queries keep the merged per-block rows_matched (ALL matching
-  // rows; there are no result rows to count). Row queries recount from the
-  // final row set because per-block counts may overshoot the limit cut.
-  if (!query.is_aggregate()) {
-    result->stats.exec.rows_matched = result->rows.size();
-  }
-  return Status::OK();
-}
-
-void QueryEngine::ExecuteFragment(
-    const LogQuery& query, const std::vector<logblock::LogBlockEntry>& blocks,
-    const std::vector<size_t>& tags, std::atomic<bool>* cancel,
-    ScatterLimitTracker* tracker, std::vector<FragmentSlot>* slots) {
   const size_t n = blocks.size();
+
+  // Every block writes its outcome to the slot at its block-map index, and
+  // one cancel flag and one limit tracker span the whole block list.
+  // Aggregates scan every block, so the limit never arms the tracker.
+  std::vector<BlockSlot> slots(n);
+  std::atomic<bool> cancel{false};
+  LimitTracker tracker(n, query.is_aggregate() ? 0 : query.limit, &cancel);
 
   ExecOptions exec_options;
   exec_options.use_data_skipping = options_.use_data_skipping;
   exec_options.use_prefetch = options_.use_cache && options_.use_prefetch;
-  // Distinct owner per fragment: the prefetch service schedules pending
-  // runs round-robin across owners, so one wide scan cannot starve others.
+  // Distinct owner per query: the prefetch service schedules pending runs
+  // round-robin across owners, so one wide scan cannot starve others.
   exec_options.prefetch_owner =
       next_query_owner_.fetch_add(1, std::memory_order_relaxed);
-  exec_options.cancel = cancel;
+  exec_options.cancel = &cancel;
 
   // Inline when there is no pool, or nothing to overlap.
-  const bool run_inline = query_pool_ == nullptr || n == 1;
+  const bool run_inline = query_pool_ == nullptr || n <= 1;
 
   // Pipelined prefetch: while the pool scans, warm the head of upcoming
   // objects (the tar header plus the meta member, which the writer lays out
@@ -493,17 +438,17 @@ void QueryEngine::ExecuteFragment(
   warm_ahead(lookahead);
 
   auto run_block = [&](size_t i) {
-    FragmentSlot& slot = (*slots)[tags[i]];
-    if (cancel->load(std::memory_order_acquire)) {
+    BlockSlot& slot = slots[i];
+    if (cancel.load(std::memory_order_acquire)) {
       slot.status = Status::Aborted("query cancelled");
     } else {
-      // Every block scan holds one cluster-wide execution slot: the shared
-      // budget dynamically caps this query's effective parallelism, with
-      // slot grants queued fairly per tenant.
+      // Every block scan holds one execution slot: the shared budget
+      // dynamically caps this query's effective parallelism, with slot
+      // grants queued fairly per tenant.
       AdmissionSlot admission;
       bool admitted = true;
       if (options_.admission != nullptr) {
-        admitted = options_.admission->Acquire(query.tenant_id, cancel);
+        admitted = options_.admission->Acquire(query.tenant_id, &cancel);
         if (admitted) admission = AdmissionSlot(options_.admission);
       }
       if (!admitted) {
@@ -523,7 +468,7 @@ void QueryEngine::ExecuteFragment(
           // Execute with the query's full limit: per-block evaluation is
           // limit-independent up to the final row trim, so concatenating
           // the per-block results in map order and trimming once at merge
-          // time gives the same bytes for any thread count or placement.
+          // time gives the same bytes for any thread count.
           auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
           if (exec.ok()) {
             slot.ran = true;
@@ -536,35 +481,41 @@ void QueryEngine::ExecuteFragment(
     }
 
     if (!slot.status.ok() && !slot.status.IsAborted()) {
-      // Real failure: stop feeding IO to in-flight tasks — of EVERY
-      // fragment of this query. The merge still reports the lowest-index
-      // real error deterministically. SignalCancel wakes admission waiters
-      // parked on this flag so they abandon the queue immediately.
-      SignalCancel(cancel);
+      // Real failure: stop feeding IO to in-flight tasks. The merge still
+      // reports the lowest-index real error deterministically. SignalCancel
+      // wakes admission waiters parked on this flag so they abandon the
+      // queue immediately.
+      SignalCancel(&cancel);
     }
-    tracker->OnBlockDone(tags[i], slot);
+    tracker.OnBlockDone(i, slot);
   };
 
   if (run_inline) {
     // Same contract, on the calling thread, in map order.
     for (size_t i = 0; i < n; ++i) run_block(i);
-    return;
-  }
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t pending = n;
-  for (size_t i = 0; i < n; ++i) {
-    query_pool_->Schedule([&run_block, &mu, &done_cv, &pending, i] {
-      run_block(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--pending == 0) done_cv.notify_all();
-    });
-  }
-  {
+  } else {
+    std::mutex mu;
+    std::condition_variable done_cv;
+    size_t pending = n;
+    for (size_t i = 0; i < n; ++i) {
+      query_pool_->Schedule([&run_block, &mu, &done_cv, &pending, i] {
+        run_block(i);
+        std::lock_guard<std::mutex> lock(mu);
+        if (--pending == 0) done_cv.notify_all();
+      });
+    }
     std::unique_lock<std::mutex> lock(mu);
     done_cv.wait(lock, [&] { return pending == 0; });
   }
+
+  LOGSTORE_RETURN_IF_ERROR(MergeBlockSlots(query, slots, result));
+  // Aggregate queries keep the merged per-block rows_matched (ALL matching
+  // rows; there are no result rows to count). Row queries recount from the
+  // final row set because per-block counts may overshoot the limit cut.
+  if (!query.is_aggregate()) {
+    result->stats.exec.rows_matched = result->rows.size();
+  }
+  return Status::OK();
 }
 
 std::vector<logblock::Value> QueryEngine::Column(const QueryResult& result,

@@ -2,7 +2,6 @@
 #define LOGSTORE_QUERY_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -39,8 +38,8 @@ struct EngineOptions {
   // Parallel query execution (§5.2/Figure 17): LogBlocks of one query are
   // scanned concurrently by a per-engine pool of this many threads, with
   // results merged back in LogBlock-map order so output does not depend on
-  // the thread count. 1 (or 0) creates no pool: the same fragment executor
-  // runs its blocks inline on the calling thread, in map order.
+  // the thread count. 1 (or 0) creates no pool: the same block scan runs
+  // inline on the calling thread, in map order.
   int query_threads = 8;
   // While up to query_threads blocks scan, the scheduler keeps this many
   // FURTHER blocks warming: their object heads (tar header + meta member)
@@ -59,11 +58,11 @@ struct EngineOptions {
   // parsing and re-fetch of meta for hot blocks.
   uint64_t object_cache_bytes = 256ull << 20;
 
-  // Cluster-wide execution-slot budget (§12): when set, every block scan —
-  // inline or pooled — first acquires a slot, so under load the shared
-  // budget dynamically caps this engine's effective query_threads, with
-  // per-tenant fair queueing. Non-owning; must outlive the engine. Null =
-  // unlimited (the standalone single-engine behavior).
+  // Execution-slot budget (§12): when set, every block scan — inline or
+  // pooled — first acquires a slot, so concurrent queries share the budget
+  // with per-tenant fair queueing. A Cluster sets it on its engine.
+  // Non-owning; must outlive the engine. Null = unlimited (the LogStore
+  // facade and the figure benches).
   AdmissionGovernor* admission = nullptr;
 
   // Registry receiving the engine's `query.*` aggregates (and, propagated
@@ -83,7 +82,7 @@ struct QueryStats {
 };
 
 // Registry cells for whole-query accounting (`query.*`). QueryStats is a
-// value type copied and merged across fragments, so each read path —
+// value type merged across a query's blocks, so each read path —
 // QueryEngine::Execute and the cluster read — records the final stats once
 // per query rather than per increment.
 struct QueryCells {
@@ -111,7 +110,7 @@ struct QueryResult {
   std::vector<std::vector<logblock::Value>> rows;  // empty for aggregates
   // Merged aggregate when the query carries one (LogQuery::agg): partial
   // aggregates are computed per block BELOW the merge and combined here, so
-  // workers ship summaries, not rows. `agg.groups` stays canonical
+  // blocks hand the merge summaries, not rows. `agg.groups` stays canonical
   // (key-ascending); render top-k via agg.TopK(query.limit).
   AggResult agg;
   QueryStats stats;
@@ -124,17 +123,14 @@ struct QueryResult {
 // Rows are appended after the archived rows in a deterministic, placement-
 // independent order — (timestamp, projected row content, worker, row) — so
 // a limit query returns the same bytes no matter which worker holds which
-// rows, and the scatter path matches the single-engine path. Appended rows
-// are accounted in QueryStats::realtime_rows and exec.rows_matched.
+// rows. Appended rows are accounted in QueryStats::realtime_rows and
+// exec.rows_matched.
 //
 // For an aggregate query the batches are folded into result->agg instead of
 // appended (all combines are commutative, so batch order cannot matter).
 Status MergeRealtimeRows(
     std::vector<std::pair<uint32_t, logblock::RowBatch>> batches,
     const LogQuery& query, QueryResult* result);
-
-struct FragmentSlot;         // one block's outcome; defined in engine.cc
-class ScatterLimitTracker;  // the global limit cancel; defined in engine.cc
 
 // Executes single-tenant log queries against LogBlocks on the object store,
 // applying the full optimization stack of §5: LogBlock-map pruning, data
@@ -145,27 +141,20 @@ class QueryEngine {
   static Result<std::unique_ptr<QueryEngine>> Open(
       objectstore::ObjectStore* store, const EngineOptions& options = {});
 
-  // The query over every block of `map` this engine holds: RunFragments
-  // with every pruned block in one fragment on this engine, plus the
-  // `query.*` accounting.
+  // The query over every block of `map`: RunBlocks plus the `query.*`
+  // accounting.
   Result<QueryResult> Execute(const LogQuery& query,
                               const logblock::LogBlockMap& map);
 
-  // Picks the engine that scans one pruned LogBlock; an error fails the
-  // read before any block runs.
-  using EngineChooser =
-      std::function<Result<QueryEngine*>(const logblock::LogBlockEntry&)>;
-
-  // The archived half of every read (§11/§12): prunes `map` on <tenant,
-  // ts range>, groups the surviving blocks into one fragment per chosen
-  // engine, runs the fragments (concurrently when there are several) under
-  // one cancel flag and one limit tracker over the GLOBAL block-map
-  // indices, merges the per-block slots in that order, and recounts
-  // rows_matched for row queries. The result cannot depend on the choice.
-  static Status RunFragments(const LogQuery& query,
-                             const logblock::LogBlockMap& map,
-                             const EngineChooser& choose_engine,
-                             QueryResult* result);
+  // The archived half of every read: prunes `map` on <tenant, ts range>
+  // and scans the surviving blocks with the §11 scheduler (pipelined head
+  // prefetch, full-limit per-block execution, admission-slot gating, one
+  // cancel flag and one limit tracker), then merges the per-block results
+  // in block-map order and recounts rows_matched for row queries. Scans inline on the calling thread when the engine has no
+  // query pool or the query has one block. Records no metrics: Execute and
+  // the cluster read each record a query's final stats once.
+  Status RunBlocks(const LogQuery& query, const logblock::LogBlockMap& map,
+                   QueryResult* result);
 
   // Extracts one projected column from a result (for aggregations).
   static std::vector<logblock::Value> Column(const QueryResult& result,
@@ -185,19 +174,6 @@ class QueryEngine {
  private:
   QueryEngine(objectstore::ObjectStore* store, const EngineOptions& options);
 
-  // Executes one fragment: `blocks` (block-map order) are the query's
-  // pruned LogBlocks this engine scans, `tags[i]` the global index of
-  // blocks[i], whose outcome lands in (*slots)[tags[i]]. Uses the §11
-  // scheduler (pipelined head prefetch, full-limit per-block execution,
-  // admission-slot gating, cooperative cancel) and never fails wholesale.
-  // Runs inline when the engine has no query pool or the fragment has one
-  // block.
-  void ExecuteFragment(const LogQuery& query,
-                       const std::vector<logblock::LogBlockEntry>& blocks,
-                       const std::vector<size_t>& tags,
-                       std::atomic<bool>* cancel, ScatterLimitTracker* tracker,
-                       std::vector<FragmentSlot>* slots);
-
   // `object_size` is the object's size from the LogBlock map (0 =
   // unknown); reads through the cache are clamped to it.
   Result<std::shared_ptr<logblock::LogBlockReader>> OpenReader(
@@ -212,9 +188,9 @@ class QueryEngine {
   std::unique_ptr<prefetch::PrefetchService> prefetch_;
   cache::CacheStats object_cache_stats_;
   std::unique_ptr<cache::LruCache<logblock::LogBlockReader>> object_cache_;
-  // Shared by all concurrent Execute calls; null when query_threads <= 1.
+  // Shared by all concurrent queries; null when query_threads <= 1.
   std::unique_ptr<ThreadPool> query_pool_;
-  // Distinct owner tag per fragment, for fair prefetch scheduling.
+  // Distinct owner tag per query, for fair prefetch scheduling.
   std::atomic<uint64_t> next_query_owner_{1};
 
   QueryCells query_cells_;

@@ -78,8 +78,8 @@ struct Predicate {
 };
 
 // An aggregation over the matching rows, evaluated below the merge: each
-// block/fragment ships a partial aggregate (AggResult) instead of rows, and
-// the broker combines them. kNone is a plain row-retrieval query.
+// block yields a partial aggregate (AggResult) instead of rows, and the
+// merge combines them. kNone is a plain row-retrieval query.
 struct Aggregate {
   enum class Kind : uint8_t {
     kNone = 0,

@@ -72,7 +72,7 @@ TEST(ClusterReadFailoverTest, ConcurrentQueriesSeeOracleBytesOrRetryable) {
     std::unique_ptr<Cluster> cluster = std::move(opened).value();
 
     // Acked data: an archived body plus an un-archived realtime tail per
-    // tenant, so concurrent queries exercise both the scatter and the
+    // tenant, so concurrent queries exercise both the archived-scan and the
     // realtime-merge halves while failovers move the tail between workers.
     for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
       for (int i = 0; i < 60; ++i) {

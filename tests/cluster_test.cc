@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -10,10 +13,10 @@
 #include "cluster/cluster.h"
 #include "cluster/controller.h"
 #include "cluster/data_builder.h"
-#include "cluster/traffic_sim.h"
 #include "common/metrics.h"
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
+#include "reference_query.h"
 #include "workload/loggen.h"
 #include "workload/zipfian.h"
 
@@ -537,96 +540,164 @@ TEST(ReplicatedClusterTest, RestartWithoutWalDirIsRejected) {
   EXPECT_FALSE((*cluster)->RestartWorker(0).ok());
 }
 
-TrafficSimOptions SimOptions(double theta, BalancePolicy policy) {
-  TrafficSimOptions options;
-  options.num_workers = 8;
-  options.shards_per_worker = 2;
-  options.num_tenants = 1000;  // the evaluation's tenant count
-  options.theta = theta;
-  options.policy = policy;
-  return options;
+int ThreadCount() {
+  namespace fs = std::filesystem;
+  return static_cast<int>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
 }
 
-TEST(TrafficSimTest, UniformLoadIsBalancedWithoutControl) {
-  TrafficSimulator sim(SimOptions(0.0, BalancePolicy::kNone));
-  const auto metrics = sim.Run(5, 5);
-  // Uniform traffic over many tenants: nearly all offered load processed.
-  EXPECT_GT(metrics.throughput, 0.98 * metrics.offered);
-  EXPECT_LT(metrics.avg_latency_ms, 50);
-}
-
-TEST(TrafficSimTest, SkewWithoutControlCollapsesThroughput) {
-  TrafficSimulator sim(SimOptions(0.99, BalancePolicy::kNone));
-  const auto metrics = sim.Run(20, 10);
-  EXPECT_LT(metrics.throughput, 0.8 * metrics.offered);
-  EXPECT_GT(metrics.avg_latency_ms, 50);
-}
-
-TEST(TrafficSimTest, MaxFlowRestoresThroughputUnderSkew) {
-  TrafficSimulator sim(SimOptions(0.99, BalancePolicy::kMaxFlow));
-  const auto metrics = sim.Run(20, 10);
-  EXPECT_GT(metrics.throughput, 0.95 * metrics.offered);
-  EXPECT_LT(metrics.avg_latency_ms, 50);
-  EXPECT_GT(metrics.rebalances, 0);
-}
-
-TEST(TrafficSimTest, GreedyAlsoRestoresThroughputButSlower) {
-  TrafficSimulator sim(SimOptions(0.99, BalancePolicy::kGreedy));
-  const auto metrics = sim.Run(20, 10);
-  EXPECT_GT(metrics.throughput, 0.9 * metrics.offered);
-}
-
-TEST(TrafficSimTest, MaxFlowUsesFewerRoutesThanGreedy) {
-  // Figure 12(c): greedy keeps splitting hot tenants onto more shards;
-  // max-flow re-weights existing routes first.
-  TrafficSimulator greedy_sim(SimOptions(0.99, BalancePolicy::kGreedy));
-  TrafficSimulator maxflow_sim(SimOptions(0.99, BalancePolicy::kMaxFlow));
-  const auto greedy = greedy_sim.Run(20, 10);
-  const auto maxflow = maxflow_sim.Run(20, 10);
-  EXPECT_LT(maxflow.route_count, greedy.route_count);
-}
-
-TEST(TrafficSimTest, BalancingReducesAccessStddev) {
-  TrafficSimulator sim(SimOptions(0.99, BalancePolicy::kMaxFlow));
-  const auto before = sim.MeasureUnbalancedRound();
-  const auto after = sim.Run(20, 10);
-  EXPECT_LT(after.ShardAccessStddev(), before.ShardAccessStddev());
-  EXPECT_LT(after.WorkerAccessStddev(), before.WorkerAccessStddev());
-}
-
-TEST(TrafficSimTest, ScaleOutAbsorbsExcessDemand) {
-  // Offered load beyond the initial cluster's alpha watermark: rebalancing
-  // alone cannot help (Algorithm 1 line 17 fails), so the controller must
-  // add workers until the demand fits.
-  TrafficSimOptions options = SimOptions(0.8, BalancePolicy::kMaxFlow);
-  options.total_offered_load =
-      static_cast<int64_t>(1.2 * 8 * options.worker_capacity);
-
-  // Without scale-out: saturated, throughput capped below offered.
-  TrafficSimulator capped(options);
-  const auto capped_metrics = capped.Run(20, 10);
-  EXPECT_TRUE(capped_metrics.scale_requested);
-  EXPECT_EQ(capped_metrics.workers_added, 0u);
-  EXPECT_LT(capped_metrics.throughput, 0.95 * capped_metrics.offered);
-
-  // With scale-out allowed: workers are added and throughput recovers.
-  options.max_workers_on_scale_out = 16;
-  TrafficSimulator elastic(options);
-  const auto elastic_metrics = elastic.Run(30, 10);
-  EXPECT_GT(elastic_metrics.workers_added, 0u);
-  EXPECT_GT(elastic_metrics.final_workers, 8u);
-  EXPECT_GT(elastic_metrics.throughput, 0.95 * elastic_metrics.offered);
-}
-
-TEST(TrafficSimTest, WorkerUtilizationApproachesAlphaAfterBalancing) {
-  // Figure 14(c): after max-flow balancing, workers run near-uniformly
-  // below the alpha watermark.
-  TrafficSimulator sim(SimOptions(0.99, BalancePolicy::kMaxFlow));
-  const auto metrics = sim.Run(20, 10);
-  for (double util : metrics.worker_utilization) {
-    EXPECT_LT(util, 0.9);
-    EXPECT_GT(util, 0.4);
+// The thread count once it holds still: a thread stays listed in
+// /proc/self/task for a moment after its join returns.
+int SettledThreadCount() {
+  int count = ThreadCount();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int again = ThreadCount();
+    if (again == count) return count;
+    count = again;
   }
+}
+
+TEST(ClusterEngineTest, OpenStartsOneEnginesThreadsAtAnySize) {
+  // The deployment runs every read on one engine, so Open starts that
+  // engine's query pool and prefetch service and nothing per worker.
+  const query::EngineOptions defaults;
+  const int engine_threads = defaults.query_threads + defaults.prefetch_threads;
+  for (uint32_t num_workers : {1u, 4u, 12u}) {
+    objectstore::MemoryObjectStore store;
+    ClusterDeploymentOptions options;
+    options.num_workers = num_workers;
+    const int before = SettledThreadCount();
+    auto cluster = Cluster::Open(&store, options);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    EXPECT_EQ(SettledThreadCount() - before, engine_threads)
+        << num_workers << " workers";
+  }
+}
+
+TEST(ClusterEngineTest, DeadWorkerRefusesReadBeforeAnyBlockIsRead) {
+  // The liveness rule runs before the archived scan: between a kill and
+  // its failover a read is refused without one object-store read.
+  constexpr int64_t kHistory = 3600ll * 1'000'000;
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 4;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.builder.max_rows_per_logblock = 300;
+  options.engine.cache_options.ssd_dir.clear();
+  auto opened = Cluster::Open(&store, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Cluster> cluster = std::move(opened).value();
+
+  workload::LogGenerator gen(23);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cluster->Write(0, gen.Generate(0, 300, 0, kHistory)).ok());
+  }
+  auto built = cluster->RunBuildPass();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_GT(*built, 0);
+
+  query::LogQuery query;
+  query.tenant_id = 0;
+  query.ts_min = 0;
+  query.ts_max = kHistory;
+  auto object_reads = [&] {
+    return store.stats().gets.load() + store.stats().range_gets.load();
+  };
+  ASSERT_TRUE(cluster->KillWorker(1).ok());
+  const uint64_t reads_before = object_reads();
+  auto refused = cluster->Query(query);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsUnavailable()) << refused.status().ToString();
+  EXPECT_EQ(object_reads(), reads_before);
+
+  // After the failover the same read scans the archived blocks.
+  auto cycle = cluster->RunControlCycle();
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  auto answered = cluster->Query(query);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_GT(answered->stats.logblocks_total, 0u);
+  EXPECT_GT(object_reads(), reads_before);
+}
+
+TEST(ClusterEngineTest, WorkerKillKeepsTheSsdTier) {
+  // The engine's SSD tier outlives any worker: a kill and its failover
+  // leave the directory and its spilled blocks in place, and later reads
+  // are served from them.
+  namespace fs = std::filesystem;
+  constexpr int64_t kHistory = 3600ll * 1'000'000;
+  const fs::path ssd_dir =
+      fs::temp_directory_path() /
+      ("cluster_test_ssd_" + std::to_string(::getpid()));
+  fs::remove_all(ssd_dir);
+  metrics::MetricRegistry registry;
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 4;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.builder.max_rows_per_logblock = 300;
+  options.engine.prefetch_threads = 2;
+  options.engine.io_block_size = 4096;
+  // 32 KiB per worker: far below the archive, so reads spill to the SSD.
+  options.engine.cache_options.memory_capacity_bytes = 32 << 10;
+  options.engine.cache_options.ssd_dir = ssd_dir.string();
+  options.registry = &registry;
+  auto opened = Cluster::Open(&store, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Cluster> cluster = std::move(opened).value();
+
+  workload::LogGenerator gen(17);
+  std::vector<reference::TenantRows> written;
+  for (uint64_t tenant = 0; tenant < 3; ++tenant) {
+    for (int i = 0; i < 8; ++i) {
+      written.push_back({tenant, gen.Generate(tenant, 200, 0, kHistory)});
+      ASSERT_TRUE(cluster->Write(tenant, written.back().batch).ok());
+    }
+  }
+  auto built = cluster->RunBuildPass();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_GT(*built, 0);
+
+  auto query_of = [&](uint64_t tenant) {
+    query::LogQuery query;
+    query.tenant_id = tenant;
+    query.ts_min = 0;
+    query.ts_max = kHistory;
+    return query;
+  };
+  for (int round = 0;
+       round < 8 && cluster->engine()->block_manager()->ssd_used_bytes() == 0;
+       ++round) {
+    for (uint64_t tenant = 0; tenant < 3; ++tenant) {
+      ASSERT_TRUE(cluster->Query(query_of(tenant)).ok());
+    }
+  }
+  ASSERT_GT(cluster->engine()->block_manager()->ssd_used_bytes(), 0u);
+
+  ASSERT_TRUE(cluster->KillWorker(1).ok());
+  auto cycle = cluster->RunControlCycle();
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  ASSERT_EQ(cycle->failovers.size(), 1u);
+  EXPECT_TRUE(fs::is_directory(ssd_dir));
+
+  auto ssd_hits = [&] {
+    return registry.SnapshotMap()["cache.hits{tier=ssd}"];
+  };
+  const int64_t hits_before = ssd_hits();
+  for (uint64_t tenant = 0; tenant < 3; ++tenant) {
+    const query::LogQuery query = query_of(tenant);
+    auto result = cluster->Query(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    reference::ExpectMatchesReference(reference::Evaluate(written, query),
+                                      query, *result,
+                                      "tenant " + std::to_string(tenant));
+  }
+  EXPECT_GT(ssd_hits(), hits_before);
+
+  cluster.reset();
+  fs::remove_all(ssd_dir);
 }
 
 }  // namespace

@@ -206,8 +206,8 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
     ASSERT_TRUE(cluster->RunBuildPass().ok());
     query::LogQuery query;
     query.tenant_id = 1;
-    // A cluster read records `query.*` exactly once, however many worker
-    // engines ran its fragments.
+    // A cluster read records `query.*` exactly once, however many blocks
+    // it scanned.
     const int64_t queries_before = registry.SnapshotMap().at("query.queries");
     ASSERT_TRUE(cluster->Query(query).ok());
     EXPECT_EQ(registry.SnapshotMap().at("query.queries"), queries_before + 1);
@@ -270,8 +270,8 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
     EXPECT_GT(snap.at("core.rows_appended"), 0);
     EXPECT_GT(snap.at("query.queries"), 0);
     // Cluster reads account under `query.*`, so the only `cluster.*`
-    // families are broker routing and availability; no scatter-only read
-    // cells are registered.
+    // families are broker routing and availability; no read cells of their
+    // own are registered.
     for (const auto& [key, value] : snap) {
       (void)value;
       if (key.rfind("cluster.", 0) != 0) continue;

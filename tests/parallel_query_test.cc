@@ -1,5 +1,5 @@
-// Parallel query execution property tests: every schedule of the fragment
-// executor must answer as the test-only reference evaluator does
+// Parallel query execution property tests: every schedule of the engine's
+// block scan must answer as the test-only reference evaluator does
 // (reference_query.h), and the thread count must be invisible — rows
 // (content AND order) and deterministic stats byte-equal at 1, 4 and 8
 // threads — across a seeded query matrix, including limit queries, fault

@@ -1,11 +1,10 @@
-// Scatter/gather read-path property tests: a cluster query must answer as
-// the test-only reference evaluator (reference_query.h) does over every row
-// written, archived and realtime alike, and fanning it across the workers
-// owning its LogBlocks must be invisible — byte-identical rows (content AND
-// order) and stats to the same read run as one fragment on the broker
-// engine — across a seeded (limit x threads x placement) matrix, with
-// realtime rows merged in a deterministic placement-independent order,
-// under a small shared admission budget.
+// Cluster read-path property tests: a cluster query must answer as the
+// test-only reference evaluator (reference_query.h) does over every row
+// written, archived and realtime alike, across a seeded (limit x threads x
+// placement) matrix under a small shared admission budget; its bytes must
+// not move when the placement does, with realtime rows merged in a
+// deterministic placement-independent order; and a dead worker or an
+// object-store brownout must make it retryable, never partial.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +36,8 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
   };
 
   // A 4-worker deployment with small LogBlocks (every tenant spans many
-  // blocks across many shards, so the scatter has real fan-out), seeded
-  // archived data, and a tail of realtime rows left un-archived.
+  // blocks written through many shards), seeded archived data, and a tail
+  // of realtime rows left un-archived.
   Deployment OpenDeployment(int query_threads, int admission_slots,
                             bool with_realtime_tail = true) {
     Deployment deployment;
@@ -82,8 +81,8 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
     return deployment;
   }
 
-  // Full byte-identity: columns, row contents, row ORDER, and every stat
-  // the scatter merge must reproduce (elapsed_us excepted — wall clock).
+  // Full byte-identity: columns, row contents, row ORDER, and every
+  // deterministic stat (elapsed_us excepted — wall clock).
   void ExpectIdentical(const query::QueryResult& expected,
                        const query::QueryResult& actual,
                        const std::string& label) {
@@ -121,20 +120,17 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
         query::LogQuery query = base_query;
         query.limit = limit;
         const std::string label = phase + " limit=" + std::to_string(limit);
-        auto single = deployment.cluster->QuerySingleEngine(query);
-        ASSERT_TRUE(single.ok()) << single.status().ToString();
-        auto scattered = deployment.cluster->Query(query);
-        ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
+        auto result = deployment.cluster->Query(query);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
         reference::ExpectMatchesReference(
-            reference::Evaluate(deployment.written, query), query, *scattered,
+            reference::Evaluate(deployment.written, query), query, *result,
             label);
-        ExpectIdentical(*single, *scattered, label);
       }
     }
   }
 };
 
-TEST_P(ScatterQueryTest, MatchesReferenceAndSingleEngine) {
+TEST_P(ScatterQueryTest, MatchesReference) {
   for (int threads : {1, 4, 8}) {
     auto deployment = OpenDeployment(threads, /*admission_slots=*/3);
     CompareMatrix(deployment, "threads=" + std::to_string(threads));
@@ -145,10 +141,10 @@ TEST_P(ScatterQueryTest, MatchesReferenceAndSingleEngine) {
   }
 }
 
-TEST_P(ScatterQueryTest, AggregationPushdownMatchesReferenceAndSingleEngine) {
-  // Aggregates ship per-fragment partial AggResults below the scatter merge
-  // (§15): the combined aggregate, realtime tail folded in, must equal the
-  // reference over every written row and the broker-engine read.
+TEST_P(ScatterQueryTest, AggregationPushdownMatchesReference) {
+  // Aggregates fold per-block partial AggResults below the merge (§15): the
+  // combined aggregate, realtime tail folded in, must equal the reference
+  // over every written row.
   auto deployment = OpenDeployment(4, /*admission_slots=*/3);
   Cluster* cluster = deployment.cluster.get();
 
@@ -166,27 +162,18 @@ TEST_P(ScatterQueryTest, AggregationPushdownMatchesReferenceAndSingleEngine) {
       query.agg = agg;
       const std::string label = "agg kind=" +
                                 std::to_string(static_cast<int>(agg.kind));
-      auto single = cluster->QuerySingleEngine(query);
-      ASSERT_TRUE(single.ok()) << single.status().ToString();
-      auto scattered = cluster->Query(query);
-      ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
+      auto result = cluster->Query(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
       reference::ExpectMatchesReference(
-          reference::Evaluate(deployment.written, query), query, *scattered,
+          reference::Evaluate(deployment.written, query), query, *result,
           label);
-      reference::ExpectSameAgg(single->agg, scattered->agg,
-                               label + " (vs single)");
-      EXPECT_EQ(scattered->stats.exec.rows_matched,
-                single->stats.exec.rows_matched)
-          << label;
-      EXPECT_EQ(scattered->stats.realtime_rows, single->stats.realtime_rows)
-          << label;
 
-      // A limit on an aggregate is presentation-only: the scatter must not
-      // arm the limit tracker or cut any fragment's scan.
+      // A limit on an aggregate is presentation-only: the read must not
+      // arm the limit tracker or cut any block's scan.
       query.limit = 5;
       auto limited = cluster->Query(query);
       ASSERT_TRUE(limited.ok()) << limited.status().ToString();
-      reference::ExpectSameAgg(scattered->agg, limited->agg,
+      reference::ExpectSameAgg(result->agg, limited->agg,
                                label + " (limit=5)");
     }
   }
@@ -225,13 +212,9 @@ TEST_P(ScatterQueryTest, MatchesAcrossPlacementChanges) {
 
   auto reverify = [&](const std::string& phase) {
     for (const Pinned& expected : pinned) {
-      auto single = cluster->QuerySingleEngine(expected.query);
-      ASSERT_TRUE(single.ok()) << phase << ": " << single.status().ToString();
-      auto scattered = cluster->Query(expected.query);
-      ASSERT_TRUE(scattered.ok())
-          << phase << ": " << scattered.status().ToString();
-      ExpectIdentical(expected.result, *scattered, phase + " (vs pinned)");
-      ExpectIdentical(*single, *scattered, phase + " (vs single)");
+      auto result = cluster->Query(expected.query);
+      ASSERT_TRUE(result.ok()) << phase << ": " << result.status().ToString();
+      ExpectIdentical(expected.result, *result, phase + " (vs pinned)");
     }
   };
 
@@ -285,11 +268,11 @@ TEST_P(ScatterQueryTest, DeadOwnerIsRetryableNotPartial) {
 
 TEST(ScatterBrownoutTest, BrownoutIsRetryableNotPartial) {
   constexpr int64_t kScatterHistory = 2ll * 3600 * 1'000'000;
-  // Scatter reads during an object-store brownout (§13): every worker
-  // engine that needs a LogBlock fetch fails, and the broker must surface
-  // ONE retryable kUnavailable — never merge the workers that happened to
-  // succeed into a subset result. With the brownout cleared, the same
-  // query must come back byte-identical to its pre-brownout answer.
+  // Cluster reads during an object-store brownout (§13): every block that
+  // needs a fetch fails, and the broker must surface ONE retryable
+  // kUnavailable — never merge the blocks that happened to succeed into a
+  // subset result. With the brownout cleared, the same query must come
+  // back byte-identical to its pre-brownout answer.
   auto base_store = std::make_unique<objectstore::MemoryObjectStore>();
   objectstore::FaultInjectionOptions fault;
   fault.seed = 99;
@@ -333,7 +316,7 @@ TEST(ScatterBrownoutTest, BrownoutIsRetryableNotPartial) {
   ASSERT_GT(expected->rows.size(), 0u);
 
   // Brownout with no scheduled end (cleared explicitly below): cold caches
-  // force every worker engine to the store.
+  // force every block read to the store.
   const int64_t now_us = SystemClock::Default()->NowMicros();
   store.SetBrownout(now_us, now_us + 3'600'000'000LL);
   cluster->ClearQueryCaches();
