@@ -47,11 +47,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
   cluster->last_worker_rows_.assign(options.num_workers, 0);
   cluster->controller_ = std::make_unique<Controller>(
       options.num_workers, options.shards_per_worker, options.controller);
-  const int slots = options.admission_slots > 0
-                        ? options.admission_slots
-                        : std::max(2 * options.engine.query_threads, 2);
-  cluster->admission_ =
-      std::make_unique<query::AdmissionGovernor>(slots, cluster->registry_);
   for (uint32_t w = 0; w < options.num_workers; ++w) {
     cluster->workers_.push_back(std::make_shared<Worker>(
         w, store, cluster->controller_->metadata(),
@@ -67,7 +62,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
   engine_options.cache_options.memory_capacity_bytes *= options.num_workers;
   engine_options.cache_options.ssd_capacity_bytes *= options.num_workers;
   engine_options.object_cache_bytes *= options.num_workers;
-  engine_options.admission = cluster->admission_.get();
   auto engine = query::QueryEngine::Open(store, engine_options);
   if (!engine.ok()) return engine.status();
   cluster->engine_ = std::move(engine).value();
@@ -624,7 +618,7 @@ Status Cluster::WriteImpl(uint64_t tenant, const logblock::RowBatch& rows) {
                                " is dead; retry after the control cycle");
   }
   const uint64_t epoch = controller_->placement_epoch();
-  LOGSTORE_RETURN_IF_ERROR(worker->Write(shard, tenant, rows));
+  LOGSTORE_RETURN_IF_ERROR(worker->Write(tenant, rows));
   // Fencing: if a failover reassigned this worker's shards while the write
   // was in flight, the rows may sit in a store nobody will archive. Refuse
   // the ack; the client retries against the new placement.

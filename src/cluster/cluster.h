@@ -17,7 +17,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "objectstore/object_store.h"
-#include "query/admission.h"
 #include "query/engine.h"
 
 namespace logstore::cluster {
@@ -34,19 +33,17 @@ struct ClusterDeploymentOptions {
   // Options of the deployment's one query engine. Its cache budgets
   // (cache_options.memory_capacity_bytes, cache_options.ssd_capacity_bytes
   // and object_cache_bytes) are per worker, as each worker node of the
-  // paper has its own caches: the engine gets num_workers times each.
+  // paper has its own caches: the engine gets num_workers times each. Its
+  // query_threads is the deployment's budget for pooled block scans, shared
+  // round-robin across tenants (DESIGN §12).
   query::EngineOptions engine;
-  // Execution-slot budget every block scan of the engine acquires, queued
-  // fairly per tenant. 0 = 2 * engine.query_threads (a full query pool plus
-  // as many inline scans on callers' threads before queueing starts).
-  int admission_slots = 0;
   // Escalation-ladder knobs for the control cycle (replica-recovery attempt
   // budget, election patience).
   EscalationPolicy escalation;
   // Registry receiving every layer's counters (`cluster.*`, `monitor.*`,
   // and — propagated into the worker/engine options when those are unset —
-  // `wal.*`, `raft.*`, `query.*`, `cache.*`, `admission.*`). nullptr means
-  // the process-wide default.
+  // `wal.*`, `raft.*`, `query.*`, `cache.*`). nullptr means the
+  // process-wide default.
   metrics::MetricRegistry* registry = nullptr;
 };
 
@@ -79,7 +76,9 @@ struct MonitorStats {
 // engine and merge the live workers' real-time row stores. This is the
 // functional simulation of the multi-node production system in one address
 // space: the workers share one query pool, prefetch service and cache
-// instead of running a copy each.
+// instead of running a copy each, and that pool's tenant-fair queue is
+// where one tenant's wide scan waits behind its own blocks, not in front
+// of another tenant's.
 class Cluster {
  public:
   // `store` must outlive the cluster.
@@ -213,7 +212,6 @@ class Cluster {
   // The one query engine every read runs on; it lives as long as the
   // cluster, whatever happens to the workers.
   query::QueryEngine* engine() { return engine_.get(); }
-  query::AdmissionGovernor* admission() { return admission_.get(); }
 
   // Drops the engine's cached state (for cold-cache measurements).
   void ClearQueryCaches();
@@ -268,8 +266,6 @@ class Cluster {
   ClusterDeploymentOptions options_;
   objectstore::ObjectStore* store_ = nullptr;
   std::unique_ptr<Controller> controller_;
-  // Declared before the engine that references it (destroyed after it).
-  std::unique_ptr<query::AdmissionGovernor> admission_;
 
   mutable std::mutex workers_mu_;
   std::vector<std::shared_ptr<Worker>> workers_;  // guarded by workers_mu_
@@ -351,9 +347,9 @@ class Cluster {
   // rate over wall clock the way Taurus's evaluation does; `*_unavailable`
   // counts the retryable kUnavailable refusals (dead route, control-seqlock
   // overlap, epoch move, brownout surfacing through the engine) that
-  // the availability floor is measured against. Other errors (bad query,
-  // admission aborts) land in `*_errors` so refusal and failure stay
-  // distinguishable.
+  // the availability floor is measured against. Other errors (a bad
+  // query, a block that failed to decode) land in `*_errors` so refusal and
+  // failure stay distinguishable.
   struct AvailabilityCells {
     std::atomic<uint64_t>* write_attempts = nullptr;
     std::atomic<uint64_t>* write_successes = nullptr;

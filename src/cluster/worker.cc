@@ -238,8 +238,7 @@ WorkerHealth Worker::Health() const {
   return health;
 }
 
-Status Worker::Write(uint32_t shard, uint64_t tenant,
-                     const logblock::RowBatch& rows) {
+Status Worker::Write(uint64_t tenant, const logblock::RowBatch& rows) {
   if (fenced_.load()) {
     return Status::Unavailable("worker " + std::to_string(id_) +
                                " is fenced (failed over)");
@@ -273,10 +272,6 @@ Status Worker::Write(uint32_t shard, uint64_t tenant,
     primary_store_->Append(tenant, rows);
   }
 
-  std::lock_guard<std::mutex> lock(traffic_mu_);
-  traffic_.per_shard[shard] += rows.num_rows();
-  traffic_.per_tenant[tenant] += rows.num_rows();
-  traffic_.total += rows.num_rows();
   return Status::OK();
 }
 
@@ -321,13 +316,6 @@ logblock::RowBatch Worker::ScanRealtime(
     uint64_t tenant, int64_t ts_min, int64_t ts_max,
     const std::vector<query::Predicate>& predicates) const {
   return primary_store_->ScanTenant(tenant, ts_min, ts_max, predicates);
-}
-
-Worker::TrafficSnapshot Worker::HarvestTraffic() {
-  std::lock_guard<std::mutex> lock(traffic_mu_);
-  TrafficSnapshot snapshot = std::move(traffic_);
-  traffic_ = TrafficSnapshot();
-  return snapshot;
 }
 
 }  // namespace logstore::cluster

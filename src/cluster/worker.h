@@ -85,9 +85,9 @@ struct WorkerHealth {
   }
 };
 
-// One execution-layer worker (Figure 3): local WAL + row store, a data
-// builder for background archiving, and per-shard traffic accounting for
-// the controller's monitor.
+// One execution-layer worker (Figure 3): local WAL + row store and a data
+// builder for background archiving. The broker routes writes to it by shard
+// and counts them in the `cluster.rows_routed` cells the controller reads.
 class Worker {
  public:
   // `store` and `map` must outlive the worker.
@@ -101,8 +101,7 @@ class Worker {
   // at a reduced rate. An OK return means the batch is applied on the
   // primary AND durable on every replica WAL (SyncAll ran) — the crash
   // harness holds the worker to exactly this promise.
-  Status Write(uint32_t shard, uint64_t tenant,
-               const logblock::RowBatch& rows);
+  Status Write(uint64_t tenant, const logblock::RowBatch& rows);
 
   // Remote-archive phase: one data-builder pass. Returns LogBlocks built.
   // With `advance_watermark` (the normal path), a successful pass then
@@ -181,16 +180,6 @@ class Worker {
   void Fence() { fenced_.store(true); }
   bool fenced() const { return fenced_.load(); }
 
-  // Monitor metrics: rows written per shard and per tenant since the last
-  // harvest (§4.1.3: "It collects tenant traffic f(Ki), shard load f(Pj)
-  // and worker node load f(Dk)").
-  struct TrafficSnapshot {
-    std::map<uint32_t, int64_t> per_shard;
-    std::map<uint64_t, int64_t> per_tenant;
-    int64_t total = 0;
-  };
-  TrafficSnapshot HarvestTraffic();
-
  private:
   // Persists the largest fully-archived entry index into every live
   // replica WAL and GCs segments below it.
@@ -245,9 +234,6 @@ class Worker {
   // single-threaded by design; this lock is what lets a background control
   // plane share a worker with foreground writers.
   mutable std::mutex raft_mu_;
-
-  mutable std::mutex traffic_mu_;
-  TrafficSnapshot traffic_;
 };
 
 }  // namespace logstore::cluster

@@ -1,23 +1,19 @@
 #ifndef LOGSTORE_COMMON_FAIR_QUEUE_H_
 #define LOGSTORE_COMMON_FAIR_QUEUE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
 
 namespace logstore {
 
-// Per-owner FIFO queues drained round-robin across owners: the scheduling
-// core shared by the prefetch service (fair IO-slot dispatch) and the
-// admission governor (fair execution-slot grants). Within an owner, strict
-// FIFO; across owners, each PopNext serves the first owner strictly after
-// the last-served one, wrapping to the smallest — so one owner enqueueing
-// hundreds of items shares the drain rate fairly with an owner enqueueing
-// one.
+// Per-owner FIFO queues drained round-robin across owners: the task queue
+// of ThreadPool. Within an owner, strict FIFO; across owners, each PopNext
+// serves the first owner strictly after the last-served one, wrapping to
+// the smallest — so one owner enqueueing hundreds of items shares the drain
+// rate fairly with an owner enqueueing one.
 //
-// Externally synchronized: the caller holds its own mutex around every call
-// (both current users already own a scheduler lock).
+// Externally synchronized: the caller holds its own mutex around every call.
 template <typename T>
 class FairQueue {
  public:
@@ -34,19 +30,6 @@ class FairQueue {
     rr_last_owner_ = it->first;
     *out = std::move(it->second.front());
     it->second.pop_front();
-    if (it->second.empty()) queues_.erase(it);
-    --size_;
-    return true;
-  }
-
-  // Removes one queued item equal to `item` from `owner`'s queue (a waiter
-  // withdrawing, e.g. on cancellation). Returns false if not queued.
-  bool Remove(uint64_t owner, const T& item) {
-    auto it = queues_.find(owner);
-    if (it == queues_.end()) return false;
-    auto pos = std::find(it->second.begin(), it->second.end(), item);
-    if (pos == it->second.end()) return false;
-    it->second.erase(pos);
     if (it->second.empty()) queues_.erase(it);
     --size_;
     return true;

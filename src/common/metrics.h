@@ -17,12 +17,12 @@ namespace logstore::metrics {
 // ---------------------------------------------------------------------------
 // Unified metrics registry (DESIGN.md §14).
 //
-// Every load/health counter the balancer, admission governor and operators
-// consume lives in one place: a MetricRegistry of named, labeled, lock-free
-// cells. Producers resolve their cells once (at construction) and then
-// increment plain atomics on the hot path — registration is the only
-// operation that takes the registry mutex, so a broker write or a block
-// scan never serializes on metrics.
+// Every load/health counter the balancer and operators consume lives in
+// one place: a MetricRegistry of named, labeled, lock-free cells. Producers
+// resolve their cells once (at construction) and then increment plain
+// atomics on the hot path — registration is the only operation that takes
+// the registry mutex, so a broker write or a block scan never serializes
+// on metrics.
 //
 // Naming scheme: `<module>.<counter>` (e.g. `cache.hits`, `wal.fsyncs`),
 // with labels for the axes a consumer aggregates over — `tier` for cache

@@ -18,10 +18,10 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> fn) {
+void ThreadPool::Schedule(uint64_t owner, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(fn));
+    queue_.Push(owner, std::move(fn));
   }
   work_available_.notify_one();
 }
@@ -42,9 +42,7 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with drained queue
-      fn = std::move(queue_.front());
-      queue_.pop_front();
+      if (!queue_.PopNext(&fn)) return;  // shutdown with drained queue
       ++active_;
     }
     fn();

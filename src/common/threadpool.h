@@ -2,19 +2,24 @@
 #define LOGSTORE_COMMON_THREADPOOL_H_
 
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/fair_queue.h"
+
 namespace logstore {
 
-// A fixed-size thread pool. Used by the data builder's process-wide build
-// pool (every build pass encodes and uploads its LogBlocks on it), by each
-// query engine's block-scan pool and by the parallel prefetch service
-// (§5.2).
+// A fixed-size thread pool whose queue is fair across owners: each task is
+// queued under an owner, owners are served round-robin and each owner's
+// tasks run in FIFO order. Used by the data builder's process-wide build
+// pool (every build pass encodes and uploads its LogBlocks on it, all under
+// owner 0, so strict FIFO), by the query engine's block-scan pool (owner =
+// the query's tenant, the per-tenant isolation of DESIGN §12) and by the
+// parallel prefetch service (owner = the issuing query, §5.2).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -23,8 +28,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Schedules `fn` to run on a pool thread.
-  void Schedule(std::function<void()> fn);
+  // Schedules `fn` to run on a pool thread, queued behind `owner`'s earlier
+  // tasks and taking turns with every other owner's.
+  void Schedule(uint64_t owner, std::function<void()> fn);
+  // Owner 0: a single-owner caller keeps strict FIFO.
+  void Schedule(std::function<void()> fn) { Schedule(0, std::move(fn)); }
 
   // Schedules `fn` and returns a future for its result.
   template <typename F>
@@ -48,7 +56,7 @@ class ThreadPool {
   mutable std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
+  FairQueue<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
   int active_ = 0;
   bool shutdown_ = false;

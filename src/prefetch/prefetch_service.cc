@@ -122,11 +122,10 @@ void PrefetchService::Prefetch(uint64_t owner, const std::string& object_key,
     for (uint64_t b = first; b <= last; ++b) blocks.insert(b);
   }
 
-  // Merge: group consecutive missing blocks into runs, then queue the runs
-  // under this owner. Dispatcher tasks service owners round-robin, so a
-  // query that enqueues hundreds of runs shares the pool fairly with a
-  // query that enqueues one.
-  std::vector<PendingRun> runs;
+  // Merge: group consecutive missing blocks into runs and schedule each run
+  // as one pool task under this owner. The pool serves owners round-robin,
+  // so a query that queues hundreds of runs shares it fairly with a query
+  // that queues one.
   auto it = blocks.begin();
   while (it != blocks.end()) {
     const uint64_t run_start = *it;
@@ -141,40 +140,11 @@ void PrefetchService::Prefetch(uint64_t owner, const std::string& object_key,
     if (cache_->Contains(BlockKey(object_key, run_start)) && run_len == 1) {
       continue;
     }
-    runs.push_back({object_key, run_start, run_len, object_size});
-  }
-  if (runs.empty()) return;
-
-  int spawn = 0;
-  {
-    std::lock_guard<std::mutex> lock(fair_mu_);
-    for (auto& run : runs) pending_.Push(owner, std::move(run));
-    // One dispatcher per runnable unit of work, capped at the pool width.
-    const int total_pending = static_cast<int>(pending_.size());
-    while (dispatchers_ + spawn < pool_->num_threads() &&
-           dispatchers_ + spawn < total_pending) {
-      ++spawn;
-    }
-    dispatchers_ += spawn;
-  }
-  for (int i = 0; i < spawn; ++i) {
-    pool_->Schedule([this] { DispatchLoop(); });
-  }
-}
-
-void PrefetchService::DispatchLoop() {
-  while (true) {
-    PendingRun run;
-    {
-      std::lock_guard<std::mutex> lock(fair_mu_);
-      if (!pending_.PopNext(&run)) {
-        --dispatchers_;
-        return;
-      }
-    }
-    // Errors are ignored: a failed prefetch degrades to a blocking read.
-    (void)GetOrFetchBlock(run.object_key, run.first_block, run.run_len,
-                          run.object_size);
+    pool_->Schedule(owner, [this, object_key, run_start, run_len,
+                            object_size] {
+      // Errors are ignored: a failed prefetch degrades to a blocking read.
+      (void)GetOrFetchBlock(object_key, run_start, run_len, object_size);
+    });
   }
 }
 

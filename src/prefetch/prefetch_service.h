@@ -10,7 +10,6 @@
 
 #include "cache/block_manager.h"
 #include "common/byte_range.h"
-#include "common/fair_queue.h"
 #include "common/result.h"
 #include "common/threadpool.h"
 #include "objectstore/object_store.h"
@@ -56,10 +55,11 @@ class PrefetchService {
   // Schedules asynchronous fetches of the aligned blocks covering `ranges`
   // into the cache. Returns immediately.
   //
-  // `owner` identifies the issuing query: pending fetch runs are queued per
-  // owner and dispatched round-robin across owners, so one wide query that
-  // floods the pool cannot starve the prefetches of queries arriving behind
-  // it. Owner 0 is the shared/untagged bucket.
+  // `owner` identifies the issuing query: each fetch run is one task of the
+  // service's pool, queued under its owner, and the pool serves owners
+  // round-robin, so one wide query that floods the pool cannot starve the
+  // prefetches of queries arriving behind it. Owner 0 is the shared/untagged
+  // bucket.
   void Prefetch(uint64_t owner, const std::string& object_key,
                 const std::vector<ByteRange>& ranges,
                 uint64_t object_size = 0);
@@ -99,18 +99,6 @@ class PrefetchService {
       const std::string& object_key, uint64_t block_idx, uint64_t fetch_limit,
       uint64_t object_size);
 
-  // One coalesced run of adjacent missing blocks awaiting fetch.
-  struct PendingRun {
-    std::string object_key;
-    uint64_t first_block = 0;
-    uint64_t run_len = 0;
-    uint64_t object_size = 0;
-  };
-
-  // Pool-thread body: drains pending_ runs round-robin across owners until
-  // the queue is empty, then retires itself.
-  void DispatchLoop();
-
   objectstore::ObjectStore* store_;
   cache::BlockManager* cache_;
   const PrefetchOptions options_;
@@ -121,13 +109,6 @@ class PrefetchService {
   std::set<std::string> in_flight_;
   metrics::Counter fetches_issued_{0};
   metrics::Counter fetch_errors_{0};
-
-  // Fair prefetch queue (guarded by fair_mu_): per-owner FIFO runs served
-  // round-robin across owners by up to `threads` dispatcher tasks. The same
-  // FairQueue discipline backs the execution-slot admission governor.
-  std::mutex fair_mu_;
-  FairQueue<PendingRun> pending_;
-  int dispatchers_ = 0;
 };
 
 }  // namespace logstore::prefetch

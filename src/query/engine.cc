@@ -165,9 +165,8 @@ Status MergeRealtimeRows(
 namespace {
 
 // One block's outcome within a read. `status` is Aborted when the block was
-// cooperatively cancelled (limit secured, a peer's real error, or
-// cancellation while queued for an admission slot) — Aborted never escapes
-// the merge.
+// cooperatively cancelled (limit secured or a peer's real error) — Aborted
+// never escapes the merge.
 struct BlockSlot {
   Status status;
   bool ran = false;  // true iff `exec` holds a real result
@@ -199,9 +198,8 @@ class LimitTracker {
     if (prefix_rows_ >= limit_) {
       // Limit secured in completed-prefix order: all in-flight work has a
       // strictly higher block index, provably beyond the limit cut. Never
-      // fires speculatively. SignalCancel also wakes any peer block parked
-      // in the admission governor on this flag.
-      SignalCancel(cancel_);
+      // fires speculatively.
+      cancel_->store(true, std::memory_order_release);
     }
   }
 
@@ -319,6 +317,21 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Open(
     engine->store_ = engine->retry_store_.get();
   }
   if (options.use_cache) {
+    // The memory tier gives each shard an equal share and drops any block
+    // larger than that share, so below this floor it caches nothing; with
+    // no shard at all, its first lookup divides by zero.
+    const cache::BlockManagerOptions& tier = options.cache_options;
+    if (tier.memory_shards < 1 ||
+        (tier.memory_capacity_bytes != 0 &&
+         tier.memory_capacity_bytes / tier.memory_shards <
+             options.io_block_size)) {
+      return Status::InvalidArgument(
+          "cache memory tier of " +
+          std::to_string(tier.memory_capacity_bytes) + " bytes over " +
+          std::to_string(tier.memory_shards) +
+          " shards cannot hold one io_block_size block of " +
+          std::to_string(options.io_block_size) + " bytes per shard");
+    }
     auto cache = cache::BlockManager::Open(engine->options_.cache_options);
     if (!cache.ok()) return cache.status();
     engine->cache_ = std::move(cache).value();
@@ -442,50 +455,34 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
     if (cancel.load(std::memory_order_acquire)) {
       slot.status = Status::Aborted("query cancelled");
     } else {
-      // Every block scan holds one execution slot: the shared budget
-      // dynamically caps this query's effective parallelism, with slot
-      // grants queued fairly per tenant.
-      AdmissionSlot admission;
-      bool admitted = true;
-      if (options_.admission != nullptr) {
-        admitted = options_.admission->Acquire(query.tenant_id, &cancel);
-        if (admitted) admission = AdmissionSlot(options_.admission);
-      }
-      if (!admitted) {
-        slot.status =
-            Status::Aborted("query cancelled while queued for admission");
+      warm_ahead(i + 1 + lookahead);
+      auto reader = OpenReader(blocks[i].object_key, blocks[i].size_bytes);
+      if (!reader.ok()) {
+        slot.status = reader.status();
       } else {
-        warm_ahead(i + 1 + lookahead);
-        auto reader = OpenReader(blocks[i].object_key, blocks[i].size_bytes);
-        if (!reader.ok()) {
-          slot.status = reader.status();
+        if (query.select_columns.empty()) {
+          for (const auto& col : (*reader)->schema().columns()) {
+            slot.columns.push_back(col.name);
+          }
+        }
+        // Execute with the query's full limit: per-block evaluation is
+        // limit-independent up to the final row trim, so concatenating the
+        // per-block results in map order and trimming once at merge time
+        // gives the same bytes for any thread count.
+        auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
+        if (exec.ok()) {
+          slot.ran = true;
+          slot.exec = std::move(exec).value();
         } else {
-          if (query.select_columns.empty()) {
-            for (const auto& col : (*reader)->schema().columns()) {
-              slot.columns.push_back(col.name);
-            }
-          }
-          // Execute with the query's full limit: per-block evaluation is
-          // limit-independent up to the final row trim, so concatenating
-          // the per-block results in map order and trimming once at merge
-          // time gives the same bytes for any thread count.
-          auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
-          if (exec.ok()) {
-            slot.ran = true;
-            slot.exec = std::move(exec).value();
-          } else {
-            slot.status = exec.status();
-          }
+          slot.status = exec.status();
         }
       }
     }
 
     if (!slot.status.ok() && !slot.status.IsAborted()) {
       // Real failure: stop feeding IO to in-flight tasks. The merge still
-      // reports the lowest-index real error deterministically. SignalCancel
-      // wakes admission waiters parked on this flag so they abandon the
-      // queue immediately.
-      SignalCancel(&cancel);
+      // reports the lowest-index real error deterministically.
+      cancel.store(true, std::memory_order_release);
     }
     tracker.OnBlockDone(i, slot);
   };
@@ -494,11 +491,16 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
     // Same contract, on the calling thread, in map order.
     for (size_t i = 0; i < n; ++i) run_block(i);
   } else {
+    // One pool task per block, queued under the tenant: the pool serves
+    // tenants round-robin, so a wide scan queues behind itself, not in
+    // front of another tenant's blocks. A queued block of a cancelled query
+    // still starts, sees the flag and returns Aborted.
     std::mutex mu;
     std::condition_variable done_cv;
     size_t pending = n;
     for (size_t i = 0; i < n; ++i) {
-      query_pool_->Schedule([&run_block, &mu, &done_cv, &pending, i] {
+      query_pool_->Schedule(query.tenant_id, [&run_block, &mu, &done_cv,
+                                              &pending, i] {
         run_block(i);
         std::lock_guard<std::mutex> lock(mu);
         if (--pending == 0) done_cv.notify_all();

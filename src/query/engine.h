@@ -17,7 +17,6 @@
 #include "objectstore/object_store.h"
 #include "objectstore/retrying_object_store.h"
 #include "prefetch/prefetch_service.h"
-#include "query/admission.h"
 #include "query/block_executor.h"
 #include "query/predicate.h"
 
@@ -38,8 +37,11 @@ struct EngineOptions {
   // Parallel query execution (§5.2/Figure 17): LogBlocks of one query are
   // scanned concurrently by a per-engine pool of this many threads, with
   // results merged back in LogBlock-map order so output does not depend on
-  // the thread count. 1 (or 0) creates no pool: the same block scan runs
-  // inline on the calling thread, in map order.
+  // the thread count. The pool queues each block under the query's tenant
+  // and serves tenants round-robin (DESIGN §12), so its width is the budget
+  // every pooled scan shares. 1 (or 0) creates no pool: the same block scan
+  // runs inline on the calling thread, in map order, as does every
+  // one-block query; inline scans take no share of that budget.
   int query_threads = 8;
   // While up to query_threads blocks scan, the scheduler keeps this many
   // FURTHER blocks warming: their object heads (tar header + meta member)
@@ -57,13 +59,6 @@ struct EngineOptions {
   // LogBlockReaders (parsed meta + decoded indexes), avoiding repeated
   // parsing and re-fetch of meta for hot blocks.
   uint64_t object_cache_bytes = 256ull << 20;
-
-  // Execution-slot budget (§12): when set, every block scan — inline or
-  // pooled — first acquires a slot, so concurrent queries share the budget
-  // with per-tenant fair queueing. A Cluster sets it on its engine.
-  // Non-owning; must outlive the engine. Null = unlimited (the LogStore
-  // facade and the figure benches).
-  AdmissionGovernor* admission = nullptr;
 
   // Registry receiving the engine's `query.*` aggregates (and, propagated
   // into the nested cache/retry/prefetch options when those carry none, the
@@ -137,7 +132,11 @@ Status MergeRealtimeRows(
 // skipping, multi-level caching, parallel prefetch.
 class QueryEngine {
  public:
-  // `store` must outlive the engine.
+  // `store` must outlive the engine. Returns InvalidArgument when the cache
+  // is on and its memory tier has no shard, or is too small to hold one
+  // io_block_size block in each of its memory_shards shards: such a tier
+  // would cache nothing, and it feeds the SSD tier only through its
+  // evictions.
   static Result<std::unique_ptr<QueryEngine>> Open(
       objectstore::ObjectStore* store, const EngineOptions& options = {});
 
@@ -148,11 +147,13 @@ class QueryEngine {
 
   // The archived half of every read: prunes `map` on <tenant, ts range>
   // and scans the surviving blocks with the §11 scheduler (pipelined head
-  // prefetch, full-limit per-block execution, admission-slot gating, one
-  // cancel flag and one limit tracker), then merges the per-block results
-  // in block-map order and recounts rows_matched for row queries. Scans inline on the calling thread when the engine has no
-  // query pool or the query has one block. Records no metrics: Execute and
-  // the cluster read each record a query's final stats once.
+  // prefetch, full-limit per-block execution, one cancel flag and one limit
+  // tracker), then merges the per-block results in block-map order and
+  // recounts rows_matched for row queries. Each block is one pool task
+  // queued under query.tenant_id. Scans inline on the calling thread when
+  // the engine has no query pool or the query has one block. Records no
+  // metrics: Execute and the cluster read each record a query's final stats
+  // once.
   Status RunBlocks(const LogQuery& query, const logblock::LogBlockMap& map,
                    QueryResult* result);
 
@@ -162,6 +163,8 @@ class QueryEngine {
 
   cache::BlockManager* block_manager() { return cache_.get(); }
   prefetch::PrefetchService* prefetch_service() { return prefetch_.get(); }
+  // The block-scan pool; nullptr when query_threads <= 1.
+  const ThreadPool* query_pool() const { return query_pool_.get(); }
   // Retry/giveup counters of the read path; nullptr when use_retry is off.
   const objectstore::RetryStats* retry_stats() const {
     return retry_store_ == nullptr ? nullptr : &retry_store_->retry_stats();
@@ -188,7 +191,8 @@ class QueryEngine {
   std::unique_ptr<prefetch::PrefetchService> prefetch_;
   cache::CacheStats object_cache_stats_;
   std::unique_ptr<cache::LruCache<logblock::LogBlockReader>> object_cache_;
-  // Shared by all concurrent queries; null when query_threads <= 1.
+  // Shared by all concurrent queries, fair across tenants; null when
+  // query_threads <= 1.
   std::unique_ptr<ThreadPool> query_pool_;
   // Distinct owner tag per query, for fair prefetch scheduling.
   std::atomic<uint64_t> next_query_owner_{1};

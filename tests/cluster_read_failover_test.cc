@@ -66,7 +66,6 @@ TEST(ClusterReadFailoverTest, ConcurrentQueriesSeeOracleBytesOrRetryable) {
     options.engine.io_block_size = 4096;
     options.engine.cache_options.memory_capacity_bytes = 4 << 20;
     options.engine.cache_options.ssd_dir.clear();
-    options.admission_slots = 4;
     auto opened = Cluster::Open(store.get(), options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<Cluster> cluster = std::move(opened).value();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/fair_queue.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -328,6 +331,59 @@ TEST(BlockingQueueTest, BlockingPushWakesOnPop) {
   EXPECT_EQ(*q.Pop(), 1);
   producer.join();
   EXPECT_EQ(*q.Pop(), 2);
+}
+
+TEST(FairQueueTest, RoundRobinAcrossOwnersFifoWithinOwner) {
+  FairQueue<int> queue;
+  queue.Push(1, 10);
+  queue.Push(1, 11);
+  queue.Push(1, 12);
+  queue.Push(2, 20);
+  queue.Push(3, 30);
+  std::vector<int> popped;
+  int item = 0;
+  while (queue.PopNext(&item)) popped.push_back(item);
+  // Owners served 1,2,3,1,1 (wrap), FIFO within owner 1.
+  EXPECT_EQ(popped, (std::vector<int>{10, 20, 30, 11, 12}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(ThreadPoolTest, OwnersTakeTurnsAndKeepTheirOrder) {
+  // The only pool thread is held on owner 1's first task while owner 1
+  // queues a backlog and owner 2 queues one task. Once the gate opens,
+  // owner 2 runs next, not behind the backlog, and owner 1's tasks keep
+  // their order.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool gate_open = false;
+  std::vector<int> order;
+  auto record = [&](int id) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(id);
+  };
+  pool.Schedule(1, [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    order.push_back(10);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return gate_open; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  for (int id : {11, 12, 13, 14}) pool.Schedule(1, [&, id] { record(id); });
+  pool.Schedule(2, [&] { record(20); });
+  EXPECT_EQ(pool.queue_depth(), 5u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    gate_open = true;
+  }
+  cv.notify_all();
+  pool.Wait();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 11, 12, 13, 14}));
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

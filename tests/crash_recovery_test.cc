@@ -162,7 +162,7 @@ void RunWorkerSeed(uint64_t seed) {
                                  std::to_string(round) + "-w" +
                                  std::to_string(next_marker++);
       ASSERT_TRUE(
-          worker->Write(0, tenant, MarkerRow(tenant, 1000 + w, marker)).ok());
+          worker->Write(tenant, MarkerRow(tenant, 1000 + w, marker)).ok());
       acked.insert(marker);
     }
 
@@ -257,7 +257,7 @@ TEST(CrashRecoveryTest, DeadReplicaDoesNotPinWalGcAndCatchesUpViaSnapshot) {
       const uint64_t tenant = 1 + (next_marker % 2);
       const std::string marker = "snap-m" + std::to_string(next_marker++);
       ASSERT_TRUE(
-          worker->Write(0, tenant, MarkerRow(tenant, 100 + i, marker)).ok());
+          worker->Write(tenant, MarkerRow(tenant, 100 + i, marker)).ok());
       acked.insert(marker);
     }
   };
@@ -346,7 +346,7 @@ void RunRollingRestartSeed(uint64_t seed) {
       const std::string marker = "roll" + std::to_string(seed) + "-m" +
                                  std::to_string(next_marker++);
       ASSERT_TRUE(
-          worker->Write(0, tenant, MarkerRow(tenant, 100 + i, marker)).ok());
+          worker->Write(tenant, MarkerRow(tenant, 100 + i, marker)).ok());
       acked.insert(marker);
     }
   };
@@ -431,21 +431,21 @@ TEST(CrashRecoveryTest, EnospcOnReplicaAppendFailsTheAckUntilRepaired) {
 
   auto worker = std::make_unique<Worker>(1, &store, &map, options);
   ASSERT_TRUE(worker->wal_status().ok());
-  ASSERT_TRUE(worker->Write(0, 1, MarkerRow(1, 100, "pre-enospc")).ok());
+  ASSERT_TRUE(worker->Write(1, MarkerRow(1, 100, "pre-enospc")).ok());
 
   // ENOSPC mid-record on one replica's journal. The entry may still reach
   // the in-memory logs, but SyncAll must surface the journaling failure:
   // the client never sees an ack it could rely on.
   const int victim = 2;  // WAL-only replica: pure journal, no row store
   worker->wal(victim)->InjectAppendErrors(1, /*partial_write=*/true);
-  EXPECT_FALSE(worker->Write(0, 1, MarkerRow(1, 101, "refused-1")).ok());
+  EXPECT_FALSE(worker->Write(1, MarkerRow(1, 101, "refused-1")).ok());
   // The replica's memory and disk diverged; it stays fail-stop (every
   // later ack attempt fails) until repaired by a restart of that replica.
-  EXPECT_FALSE(worker->Write(0, 1, MarkerRow(1, 102, "refused-2")).ok());
+  EXPECT_FALSE(worker->Write(1, MarkerRow(1, 102, "refused-2")).ok());
 
   worker->raft()->Disconnect(victim);  // model the operator killing it
   ASSERT_TRUE(worker->RecoverReplica(victim).ok());
-  ASSERT_TRUE(worker->Write(0, 1, MarkerRow(1, 103, "post-repair")).ok());
+  ASSERT_TRUE(worker->Write(1, MarkerRow(1, 103, "post-repair")).ok());
 
   // Across a full restart: both acked writes present, torn nothing.
   worker = std::make_unique<Worker>(1, &store, &map, options);
@@ -477,18 +477,18 @@ TEST(CrashRecoveryTest, EioOnFsyncWedgesReplicaUntilRepaired) {
 
   auto worker = std::make_unique<Worker>(1, &store, &map, options);
   ASSERT_TRUE(worker->wal_status().ok());
-  ASSERT_TRUE(worker->Write(0, 1, MarkerRow(1, 100, "pre-eio")).ok());
+  ASSERT_TRUE(worker->Write(1, MarkerRow(1, 100, "pre-eio")).ok());
 
   const int victim = 1;
   worker->wal(victim)->InjectSyncErrors(1);
   // EIO at the group-commit fsync: no ack, and the wedge is sticky (a
   // failed fsync cannot be retried into success).
-  EXPECT_FALSE(worker->Write(0, 1, MarkerRow(1, 101, "refused-1")).ok());
-  EXPECT_FALSE(worker->Write(0, 1, MarkerRow(1, 102, "refused-2")).ok());
+  EXPECT_FALSE(worker->Write(1, MarkerRow(1, 101, "refused-1")).ok());
+  EXPECT_FALSE(worker->Write(1, MarkerRow(1, 102, "refused-2")).ok());
 
   worker->raft()->Disconnect(victim);
   ASSERT_TRUE(worker->RecoverReplica(victim).ok());
-  ASSERT_TRUE(worker->Write(0, 1, MarkerRow(1, 103, "post-repair")).ok());
+  ASSERT_TRUE(worker->Write(1, MarkerRow(1, 103, "post-repair")).ok());
 
   worker = std::make_unique<Worker>(1, &store, &map, options);
   ASSERT_TRUE(worker->wal_status().ok());

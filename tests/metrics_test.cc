@@ -178,7 +178,7 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
 
   {
     // A durable replicated deployment: exercises the objectstore, cache,
-    // prefetch, admission, query, raft, WAL, monitor and cluster layers.
+    // prefetch, query, raft, WAL, monitor and cluster layers.
     auto store = std::make_unique<objectstore::MemoryObjectStore>(&registry);
     cluster::ClusterDeploymentOptions options;
     options.num_workers = 2;
@@ -213,10 +213,6 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
     EXPECT_EQ(registry.SnapshotMap().at("query.queries"), queries_before + 1);
     ASSERT_TRUE(cluster->Query(query).ok());
     EXPECT_EQ(registry.SnapshotMap().at("query.queries"), queries_before + 2);
-    // Touch the admission governor directly so its lazily-resolved
-    // per-tenant cells exist even if the tiny query never queued.
-    ASSERT_TRUE(cluster->admission()->Acquire(1));
-    cluster->admission()->Release();
     cluster->RunTrafficControl();
 
     // The FaultStats producer (no cluster layer constructs one).
@@ -246,7 +242,6 @@ TEST(MetricsIntegrationTest, OneSnapshotSurfacesEveryProducer) {
         "objectstore.fault.", // FaultStats
         "cache.",             // CacheStats (memory/ssd/object tiers)
         "prefetch.",          // prefetch service
-        "admission.",         // AdmissionTenantStats
         "query.",             // QueryStats / BlockExecStats
         "raft.",              // raft replication counters
         "wal.",               // DurableLog counters

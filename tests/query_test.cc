@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -429,6 +434,191 @@ TEST_F(QueryEngineTest, ColumnExtractionAndAggregation) {
 
   const auto latency = QueryEngine::Column(*result, "latency");
   EXPECT_EQ(RollupInt64(latency).max, 299);
+}
+
+TEST(QueryEngineOpenTest, RefusesMemoryTierThatHoldsNoBlock) {
+  // 16 KiB over 16 shards leaves 1 KiB per shard, and every 4 KiB block is
+  // larger than that: the tier would cache nothing and never feed the SSD
+  // tier. Open must say so instead of running without a cache.
+  objectstore::MemoryObjectStore store;
+  EngineOptions options;
+  options.io_block_size = 4096;
+  options.cache_options.memory_capacity_bytes = 16 << 10;
+  options.cache_options.memory_shards = 16;
+  options.cache_options.ssd_dir.clear();
+  auto refused = QueryEngine::Open(&store, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("16384"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("4096"), std::string::npos)
+      << refused.status().ToString();
+
+  // A tier with no shard would divide by zero on its first lookup.
+  options.cache_options.memory_capacity_bytes = 64 << 10;
+  options.cache_options.memory_shards = 0;
+  auto no_shards = QueryEngine::Open(&store, options);
+  ASSERT_FALSE(no_shards.ok());
+  EXPECT_TRUE(no_shards.status().IsInvalidArgument())
+      << no_shards.status().ToString();
+
+  // One block per shard is enough, and so is a tier the caller turned off.
+  options.cache_options.memory_shards = 16;
+  EXPECT_TRUE(QueryEngine::Open(&store, options).ok());
+  options.cache_options.memory_capacity_bytes = 0;
+  EXPECT_TRUE(QueryEngine::Open(&store, options).ok());
+  options.cache_options.memory_capacity_bytes = 16 << 10;
+  options.use_cache = false;
+  EXPECT_TRUE(QueryEngine::Open(&store, options).ok());
+}
+
+// Parks every read of a gated object until its gate opens, and records the
+// order in which objects are first read.
+class GatedStore : public objectstore::ObjectStore {
+ public:
+  explicit GatedStore(objectstore::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, const Slice& data) override {
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    Arrive(key);
+    return base_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    Arrive(key);
+    return base_->GetRange(key, offset, length);
+  }
+  Result<uint64_t> Head(const std::string& key) override {
+    return base_->Head(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  objectstore::ObjectStoreStats& stats() override { return base_->stats(); }
+
+  void Close(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_.insert(key);
+  }
+  void Open(const std::string& key) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_.erase(key);
+    }
+    cv_.notify_all();
+  }
+  void WaitForParked(size_t readers) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ == readers; });
+  }
+  std::vector<std::string> first_reads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return first_reads_;
+  }
+
+ private:
+  void Arrive(const std::string& key) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (std::find(first_reads_.begin(), first_reads_.end(), key) ==
+        first_reads_.end()) {
+      first_reads_.push_back(key);
+    }
+    if (closed_.count(key) == 0) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return closed_.count(key) == 0; });
+    --parked_;
+  }
+
+  objectstore::ObjectStore* base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::string> closed_;
+  size_t parked_ = 0;
+  std::vector<std::string> first_reads_;
+};
+
+TEST(QueryPoolFairnessTest, NarrowTenantIsReadBeforeWideBacklog) {
+  // A wide tenant's query pins both pool threads and queues the rest of its
+  // blocks; a narrow tenant's three-block query arrives behind it. The pool
+  // serves tenants round-robin, so the narrow tenant's blocks alternate
+  // with the wide backlog instead of waiting behind all of it.
+  objectstore::MemoryObjectStore base;
+  logblock::LogBlockMap map;
+  auto add_block = [&](uint64_t tenant, int index) {
+    auto built = logblock::BuildLogBlock(MakeBatch(64, tenant), tenant);
+    ASSERT_TRUE(built.ok());
+    const std::string key =
+        "t" + std::to_string(tenant) + "/" + std::to_string(index);
+    ASSERT_TRUE(base.Put(key, built->data).ok());
+    map.Add({.tenant_id = tenant,
+             .min_ts = built->meta.min_ts,
+             .max_ts = built->meta.max_ts,
+             .object_key = key,
+             .size_bytes = built->data.size(),
+             .row_count = built->meta.row_count});
+  };
+  constexpr int kWide = 8;
+  constexpr int kNarrow = 3;
+  for (int i = 0; i < kWide; ++i) add_block(1, i);
+  for (int i = 0; i < kNarrow; ++i) add_block(2, i);
+
+  // Block scans read straight from the store, on the pool threads.
+  GatedStore store(&base);
+  EngineOptions options;
+  options.query_threads = 2;
+  options.use_cache = false;
+  options.use_retry = false;
+  auto engine = QueryEngine::Open(&store, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const ThreadPool* pool = (*engine)->query_pool();
+  ASSERT_NE(pool, nullptr);
+  auto queued = [&](size_t depth) {
+    while (pool->queue_depth() != depth) std::this_thread::yield();
+  };
+
+  // "t1/0" holds one pool thread for the whole test, so once "t1/1" opens
+  // the other thread runs everything left, one block at a time, in the
+  // pool's pop order.
+  store.Close("t1/0");
+  store.Close("t1/1");
+  LogQuery wide;
+  wide.tenant_id = 1;
+  Result<QueryResult> wide_result = Status::Internal("not run");
+  std::thread wide_reader([&] { wide_result = (*engine)->Execute(wide, map); });
+  store.WaitForParked(2);
+  queued(kWide - 2);
+
+  LogQuery narrow;
+  narrow.tenant_id = 2;
+  Result<QueryResult> narrow_result = Status::Internal("not run");
+  std::thread narrow_reader(
+      [&] { narrow_result = (*engine)->Execute(narrow, map); });
+  queued(kWide - 2 + kNarrow);
+
+  store.Open("t1/1");
+  narrow_reader.join();
+  store.Open("t1/0");
+  wide_reader.join();
+  ASSERT_TRUE(narrow_result.ok()) << narrow_result.status().ToString();
+  ASSERT_TRUE(wide_result.ok()) << wide_result.status().ToString();
+  EXPECT_EQ(narrow_result->rows.size(), 64u * kNarrow);
+  EXPECT_EQ(wide_result->rows.size(), 64u * kWide);
+
+  const std::vector<std::string> reads = store.first_reads();
+  ASSERT_EQ(reads.size(), static_cast<size_t>(kWide + kNarrow));
+  EXPECT_EQ(std::set<std::string>(reads.begin(), reads.begin() + 2),
+            (std::set<std::string>{"t1/0", "t1/1"}));
+  // Round-robin from the last-served tenant (1): each narrow block goes
+  // ahead of the next wide one, and the wide tenant's own blocks keep
+  // their order. A FIFO pool would read all six wide blocks first.
+  EXPECT_EQ(std::vector<std::string>(reads.begin() + 2, reads.end()),
+            (std::vector<std::string>{"t2/0", "t1/2", "t2/1", "t1/3", "t2/2",
+                                      "t1/4", "t1/5", "t1/6", "t1/7"}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Cluster read-path property tests: a cluster query must answer as the
 // test-only reference evaluator (reference_query.h) does over every row
 // written, archived and realtime alike, across a seeded (limit x threads x
-// placement) matrix under a small shared admission budget; its bytes must
+// placement) matrix on one shared tenant-fair query pool; its bytes must
 // not move when the placement does, with realtime rows merged in a
 // deterministic placement-independent order; and a dead worker or an
 // object-store brownout must make it retryable, never partial.
@@ -38,7 +38,7 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
   // A 4-worker deployment with small LogBlocks (every tenant spans many
   // blocks written through many shards), seeded archived data, and a tail
   // of realtime rows left un-archived.
-  Deployment OpenDeployment(int query_threads, int admission_slots,
+  Deployment OpenDeployment(int query_threads,
                             bool with_realtime_tail = true) {
     Deployment deployment;
     deployment.store = std::make_unique<objectstore::MemoryObjectStore>();
@@ -53,7 +53,6 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
     options.engine.io_block_size = 4096;
     options.engine.cache_options.memory_capacity_bytes = 4 << 20;
     options.engine.cache_options.ssd_dir.clear();
-    options.admission_slots = admission_slots;
     auto cluster = Cluster::Open(deployment.store.get(), options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
     deployment.cluster = std::move(cluster).value();
@@ -132,12 +131,8 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
 
 TEST_P(ScatterQueryTest, MatchesReference) {
   for (int threads : {1, 4, 8}) {
-    auto deployment = OpenDeployment(threads, /*admission_slots=*/3);
+    auto deployment = OpenDeployment(threads);
     CompareMatrix(deployment, "threads=" + std::to_string(threads));
-    // The shared budget actually gated these scans.
-    const auto stats = deployment.cluster->admission()->TenantStats(
-        static_cast<uint64_t>(GetParam()) % 3);
-    EXPECT_GT(stats.grants, 0u) << "threads=" << threads;
   }
 }
 
@@ -145,7 +140,7 @@ TEST_P(ScatterQueryTest, AggregationPushdownMatchesReference) {
   // Aggregates fold per-block partial AggResults below the merge (§15): the
   // combined aggregate, realtime tail folded in, must equal the reference
   // over every written row.
-  auto deployment = OpenDeployment(4, /*admission_slots=*/3);
+  auto deployment = OpenDeployment(4);
   Cluster* cluster = deployment.cluster.get();
 
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
@@ -186,8 +181,7 @@ TEST_P(ScatterQueryTest, MatchesAcrossPlacementChanges) {
   // placement), then the same query matrix runs against three different
   // placements: initial, after a failover, after a second failover plus a
   // rejoin — with the archived row bytes pinned against the initial run.
-  auto deployment = OpenDeployment(4, /*admission_slots=*/4,
-                                   /*with_realtime_tail=*/false);
+  auto deployment = OpenDeployment(4, /*with_realtime_tail=*/false);
   Cluster* cluster = deployment.cluster.get();
 
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
@@ -234,7 +228,7 @@ TEST_P(ScatterQueryTest, MatchesAcrossPlacementChanges) {
 }
 
 TEST_P(ScatterQueryTest, DeadOwnerIsRetryableNotPartial) {
-  auto deployment = OpenDeployment(4, /*admission_slots=*/4);
+  auto deployment = OpenDeployment(4);
   Cluster* cluster = deployment.cluster.get();
   query::LogQuery query;
   query.tenant_id = static_cast<uint64_t>(GetParam()) % 3;
