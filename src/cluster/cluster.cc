@@ -278,15 +278,7 @@ Status Cluster::RecoverTail(uint32_t id, FailoverReport* report) {
     if (it == pending.end()) {
       pending.emplace(record->tenant_id, std::move(record->rows));
     } else {
-      const logblock::RowBatch& rows = record->rows;
-      for (uint32_t r = 0; r < rows.num_rows(); ++r) {
-        std::vector<logblock::Value> row;
-        row.reserve(rows.schema().num_columns());
-        for (size_t c = 0; c < rows.schema().num_columns(); ++c) {
-          row.push_back(rows.ValueAt(c, r));
-        }
-        it->second.AddRow(row);
-      }
+      it->second.AppendRows(record->rows, 0, entry_rows);
     }
     ++report->tail_entries_recovered;
     report->tail_rows_recovered += entry_rows;
@@ -730,11 +722,17 @@ Result<query::QueryResult> Cluster::Read(const query::LogQuery& query) {
       engine_->RunBlocks(query, *controller_->metadata(), &result));
   // Real-time rows from the live workers, merged after the archived rows.
   // They are scanned after the archived scan: each scan holds its worker's
-  // row-store lock, which that worker's writes need, while it walks the
-  // whole store, and at the start of the read it stalls the writes that
-  // arrive together with the read (DESIGN.md §12).
-  LOGSTORE_RETURN_IF_ERROR(query::MergeRealtimeRows(
-      CollectRealtime(query, workers, placement), query, &result));
+  // row-store lock, which that worker's writes need, while it walks every
+  // write the store retains, and at the start of the read it stalls the
+  // writes that arrive together with the read (DESIGN.md §12). A row query
+  // whose archived rows already fill its limit scans no worker: the merge
+  // appends realtime rows after the archived ones and stops at the limit.
+  const bool limit_filled = !query.is_aggregate() && query.limit != 0 &&
+                            result.rows.size() >= query.limit;
+  if (!limit_filled) {
+    LOGSTORE_RETURN_IF_ERROR(query::MergeRealtimeRows(
+        CollectRealtime(query, workers, placement), query, &result));
+  }
 
   // Read fencing (the §12 analogue of the write-side epoch check): any
   // placement move or control mutation since the snapshot invalidates the

@@ -130,14 +130,7 @@ Result<int> DataBuilder::BuildOnce(rowstore::RowStore* row_store) {
     const logblock::RowBatch* to_build = &batch;
     logblock::RowBatch slice(batch.schema());
     if (job.begin != 0 || job.end != batch.num_rows()) {
-      for (uint32_t r = job.begin; r < job.end; ++r) {
-        std::vector<logblock::Value> row;
-        row.reserve(batch.schema().num_columns());
-        for (size_t c = 0; c < batch.schema().num_columns(); ++c) {
-          row.push_back(batch.ValueAt(c, r));
-        }
-        slice.AddRow(row);
-      }
+      slice.AppendRows(batch, job.begin, job.end);
       to_build = &slice;
     }
 

@@ -75,7 +75,9 @@ consensus::ApplyFn Worker::MakeApplyFn(int node) {
     // Empty payloads are recovery no-op barriers, not data.
     if (!payload.empty()) {
       auto record = rowstore::DecodeWalRecord(payload, options_.schema);
-      if (record.ok()) target->Append(record->tenant_id, record->rows);
+      if (record.ok()) {
+        target->Append(record->tenant_id, std::move(record->rows));
+      }
     }
     if (target == primary_store_.get()) {
       applied_index_to_seq_[index] = primary_store_->last_seq();
@@ -245,6 +247,8 @@ Status Worker::Write(uint64_t tenant, const logblock::RowBatch& rows) {
   }
   if (options_.replicated) {
     if (!wal_status_.ok()) return wal_status_;
+    // Encoded before the raft lock is taken; only the proposal needs it.
+    std::string record = rowstore::EncodeWalRecord(tenant, rows);
     // Synchronous commit: propose on the leader and pump the group until
     // the entry is applied (models "the synchronization can only be
     // completed after most of the followers have persisted the WAL").
@@ -252,8 +256,7 @@ Status Worker::Write(uint64_t tenant, const logblock::RowBatch& rows) {
     const int leader = raft_->WaitForLeader();
     if (leader < 0) return Status::Unavailable("no raft leader");
     const uint64_t target = raft_->node(leader).log_size() + 1;
-    Status proposed =
-        raft_->node(leader).Propose(rowstore::EncodeWalRecord(tenant, rows));
+    Status proposed = raft_->node(leader).Propose(std::move(record));
     if (!proposed.ok()) return proposed;  // kResourceExhausted = BFC
     // Wait for the commit to reach the primary replica (node 0, whose row
     // store serves real-time reads), not just the current leader.

@@ -2,26 +2,21 @@
 
 namespace logstore {
 
-void PutVarint32(std::string* dst, uint32_t value) {
-  unsigned char buf[5];
-  int n = 0;
+char* EncodeVarint64(char* dst, uint64_t value) {
+  unsigned char* p = reinterpret_cast<unsigned char*>(dst);
   while (value >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(value) | 0x80;
+    *p++ = static_cast<unsigned char>(value) | 0x80;
     value >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(value);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *p++ = static_cast<unsigned char>(value);
+  return reinterpret_cast<char*>(p);
 }
 
+void PutVarint32(std::string* dst, uint32_t value) { PutVarint64(dst, value); }
+
 void PutVarint64(std::string* dst, uint64_t value) {
-  unsigned char buf[10];
-  int n = 0;
-  while (value >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(value) | 0x80;
-    value >>= 7;
-  }
-  buf[n++] = static_cast<unsigned char>(value);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, value) - buf);
 }
 
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value) {
@@ -68,15 +63,6 @@ bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
   *result = Slice(input->data(), len);
   input->remove_prefix(len);
   return true;
-}
-
-int VarintLength(uint64_t v) {
-  int len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
 }
 
 }  // namespace logstore

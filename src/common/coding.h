@@ -44,6 +44,10 @@ inline void PutFixed64(std::string* dst, uint64_t value) {
   dst->append(buf, sizeof(buf));
 }
 
+// Writes `value` as a varint at `dst` (room for 10 bytes) and returns the
+// byte after it.
+char* EncodeVarint64(char* dst, uint64_t value);
+
 void PutVarint32(std::string* dst, uint32_t value);
 void PutVarint64(std::string* dst, uint64_t value);
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value);
@@ -82,7 +86,14 @@ inline bool GetFixed64(Slice* input, uint64_t* value) {
   return true;
 }
 
-int VarintLength(uint64_t v);
+inline int VarintLength(uint64_t v) {
+  int len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++len;
+  }
+  return len;
+}
 
 }  // namespace logstore
 

@@ -34,16 +34,20 @@ constexpr uint64_t kRecordHeaderSize = 8;  // crc + len
 // claimed length happen to exist (allocation-bomb guard).
 constexpr uint64_t kMaxRecordLen = 64ull << 20;
 
-std::string FrameRecord(uint8_t type, const std::string& body) {
+// Frames `body` followed by `payload` as one record, in one buffer of the
+// frame's exact size, with the CRC written in place last.
+std::string FrameRecord(uint8_t type, const Slice& body,
+                        const Slice& payload = Slice()) {
+  const size_t len = 1 + body.size() + payload.size();
   std::string framed;
-  framed.reserve(kRecordHeaderSize + 1 + body.size());
-  std::string after_crc;
-  PutFixed32(&after_crc, static_cast<uint32_t>(1 + body.size()));
-  after_crc.push_back(static_cast<char>(type));
-  after_crc.append(body);
-  PutFixed32(&framed,
-             crc32c::Mask(crc32c::Value(after_crc.data(), after_crc.size())));
-  framed.append(after_crc);
+  framed.reserve(kRecordHeaderSize + len);
+  framed.resize(4);
+  PutFixed32(&framed, static_cast<uint32_t>(len));
+  framed.push_back(static_cast<char>(type));
+  framed.append(body.data(), body.size());
+  framed.append(payload.data(), payload.size());
+  EncodeFixed32(framed.data(), crc32c::Mask(crc32c::Value(
+                                   framed.data() + 4, framed.size() - 4)));
   return framed;
 }
 
@@ -395,15 +399,13 @@ Status DurableLog::RotateLocked() {
   return Status::OK();
 }
 
-Status DurableLog::AppendRecord(uint8_t type, const std::string& body,
-                                bool force_sync) {
+Status DurableLog::AppendRecord(const std::string& framed, bool force_sync) {
   if (dead_) return Status::IOError("wal: simulated crash; reopen required");
   if (!failed_.ok()) return failed_;
   if (fd_ < 0) LOGSTORE_RETURN_IF_ERROR(OpenActiveSegment());
   if (active_.size >= options_.segment_target_bytes) {
     LOGSTORE_RETURN_IF_ERROR(RotateLocked());
   }
-  const std::string framed = FrameRecord(type, body);
   bool failed_write = false;
   if (inject_append_errors_ > 0) {
     --inject_append_errors_;
@@ -452,7 +454,8 @@ Status DurableLog::PersistHardState(uint64_t term, int voted_for) {
   // Votes must be durable before the response leaves the node, whatever
   // the batching policy: a vote granted then forgotten can elect two
   // leaders for one term. Elections are rare, so this costs little.
-  return AppendRecord(kHardStateRecord, body, /*force_sync=*/true);
+  return AppendRecord(FrameRecord(kHardStateRecord, body),
+                      /*force_sync=*/true);
 }
 
 Status DurableLog::AppendEntry(uint64_t index, const LogEntry& entry) {
@@ -462,11 +465,12 @@ Status DurableLog::AppendEntry(uint64_t index, const LogEntry& entry) {
         "wal: non-contiguous append at " + std::to_string(index) +
         ", expected " + std::to_string(next_entry_index_));
   }
-  std::string body;
-  PutVarint64(&body, index);
-  PutVarint64(&body, entry.term);
-  body.append(entry.payload);
-  LOGSTORE_RETURN_IF_ERROR(AppendRecord(kEntryRecord, body, false));
+  char head[20];
+  char* end = EncodeVarint64(head, index);
+  end = EncodeVarint64(end, entry.term);
+  LOGSTORE_RETURN_IF_ERROR(AppendRecord(
+      FrameRecord(kEntryRecord, Slice(head, end - head), entry.payload),
+      false));
   active_.max_entry_index = std::max(active_.max_entry_index, index);
   next_entry_index_ = index + 1;
   return Status::OK();
@@ -477,7 +481,8 @@ Status DurableLog::TruncateSuffix(uint64_t from_index) {
   if (from_index >= next_entry_index_) return Status::OK();
   std::string body;
   PutVarint64(&body, from_index);
-  LOGSTORE_RETURN_IF_ERROR(AppendRecord(kTruncateRecord, body, false));
+  LOGSTORE_RETURN_IF_ERROR(
+      AppendRecord(FrameRecord(kTruncateRecord, body), false));
   next_entry_index_ = from_index;
   return Status::OK();
 }
@@ -492,7 +497,7 @@ Status DurableLog::PersistWatermark(uint64_t index, uint64_t term,
   PutVarint64(&body, aux);
   // Durable before GC: deleting segments on the strength of an un-fsynced
   // watermark could lose the only copy of un-archived entries.
-  LOGSTORE_RETURN_IF_ERROR(AppendRecord(kWatermarkRecord, body,
+  LOGSTORE_RETURN_IF_ERROR(AppendRecord(FrameRecord(kWatermarkRecord, body),
                                         /*force_sync=*/true));
   watermark_index_ = index;
   watermark_term_ = term;

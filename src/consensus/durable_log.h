@@ -158,10 +158,10 @@ class DurableLog : public RaftPersistence {
   // caller's delay budget expires.
   void SyncerLoop();
   bool SyncerEnabled() const { return syncer_.joinable(); }
-  // Appends one framed record to the active segment, creating/rotating
-  // segments as needed. `force_sync` overrides kOnSync (hard state).
+  // Appends one record, framed by FrameRecord, to the active segment,
+  // creating/rotating segments as needed. `force_sync` overrides kOnSync (hard state).
   // Callers hold mu_ (all private mutators assume mu_ held).
-  Status AppendRecord(uint8_t type, const std::string& body, bool force_sync);
+  Status AppendRecord(const std::string& framed, bool force_sync);
   Status OpenActiveSegment();  // creates the next segment with header records
   Status RotateLocked();
   Status FsyncActive();

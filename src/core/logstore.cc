@@ -116,8 +116,8 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(LogStoreOptions options) {
       auto record =
           rowstore::DecodeWalRecord(entry.payload, db->options_.schema);
       if (record.ok()) {
-        db->row_store_->Append(record->tenant_id, record->rows);
         db->rows_appended_ += record->rows.num_rows();
+        db->row_store_->Append(record->tenant_id, std::move(record->rows));
       }
       db->wal_index_to_seq_[index] = db->row_store_->last_seq();
     }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/slice.h"
 #include "logblock/schema.h"
 
 namespace logstore::logblock {
@@ -61,6 +62,40 @@ class RowBatch {
     }
     ++num_rows_;
   }
+
+  // Appends rows [begin, end) of `src`, column by column; `src` must have
+  // this batch's column layout.
+  void AppendRows(const RowBatch& src, uint32_t begin, uint32_t end) {
+    assert(src.schema_.num_columns() == schema_.num_columns());
+    assert(begin <= end && end <= src.num_rows_);
+    for (size_t c = 0; c < schema_.num_columns(); ++c) {
+      if (schema_.column(c).type == ColumnType::kInt64) {
+        ints_[c].insert(ints_[c].end(), src.ints_[c].begin() + begin,
+                        src.ints_[c].begin() + end);
+      } else {
+        strs_[c].insert(strs_[c].end(), src.strs_[c].begin() + begin,
+                        src.strs_[c].begin() + end);
+      }
+    }
+    num_rows_ += end - begin;
+  }
+
+  // Column-at-a-time row building, for decoders: push one value into every
+  // column, then EndRow().
+  void Reserve(uint32_t rows) {
+    for (size_t c = 0; c < schema_.num_columns(); ++c) {
+      if (schema_.column(c).type == ColumnType::kInt64) {
+        ints_[c].reserve(rows);
+      } else {
+        strs_[c].reserve(rows);
+      }
+    }
+  }
+  void PushInt64(size_t col, int64_t v) { ints_[col].push_back(v); }
+  void PushString(size_t col, const Slice& v) {
+    strs_[col].emplace_back(v.data(), v.size());
+  }
+  void EndRow() { ++num_rows_; }
 
   int64_t Int64At(size_t col, uint32_t row) const { return ints_[col][row]; }
   const std::string& StringAt(size_t col, uint32_t row) const {

@@ -20,6 +20,11 @@ namespace logstore::rowstore {
 // checkpoint). Recent rows remain queryable here, giving LogStore its
 // real-time data visibility.
 //
+// Each applied write stays one entry: the tenant's column batch as it
+// arrived, with the sequence number of its first row. Rows are never
+// re-materialized one by one; scans, snapshots and truncation work on
+// column ranges of those entries.
+//
 // Thread-safe.
 class RowStore {
  public:
@@ -28,6 +33,8 @@ class RowStore {
   const logblock::Schema& schema() const { return schema_; }
 
   // Appends a tenant's batch; returns the sequence number of the last row.
+  // The rvalue overload keeps the batch itself; the other copies it.
+  uint64_t Append(uint64_t tenant_id, logblock::RowBatch&& rows);
   uint64_t Append(uint64_t tenant_id, const logblock::RowBatch& rows);
 
   uint64_t row_count() const;
@@ -58,26 +65,27 @@ class RowStore {
   void ResetToArchived();
 
   // Real-time query path: scans retained rows of `tenant` within the ts
-  // range, applying `predicates` (all must hold).
+  // range, applying `predicates` (all must hold). Other tenants' entries
+  // are skipped whole, but the walk still visits every entry under the
+  // store's lock.
   logblock::RowBatch ScanTenant(
       uint64_t tenant_id, int64_t ts_min, int64_t ts_max,
       const std::vector<query::Predicate>& predicates = {}) const;
 
  private:
-  struct Row {
-    uint64_t seq;
+  // One applied write: rows first_seq .. first_seq + rows.num_rows() - 1.
+  struct Entry {
+    uint64_t first_seq;
     uint64_t tenant_id;
-    std::vector<logblock::Value> values;
+    logblock::RowBatch rows;
   };
-
-  bool RowMatches(const Row& row, int64_t ts_min, int64_t ts_max,
-                  const std::vector<query::Predicate>& predicates) const;
 
   const logblock::Schema schema_;
   const int ts_col_;
 
   mutable std::mutex mu_;
-  std::deque<Row> rows_;
+  std::deque<Entry> entries_;  // never empty batches
+  uint64_t row_count_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t archived_seq_ = 0;
   uint64_t bytes_ = 0;

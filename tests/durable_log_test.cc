@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "consensus/raft.h"
 
 namespace logstore::consensus {
@@ -113,6 +117,51 @@ TEST_F(DurableLogTest, RotationSpreadsEntriesAcrossSegments) {
   }
   auto log = MustOpen(options);
   EXPECT_EQ(log->recovered().entries.size(), 50u);
+}
+
+TEST_F(DurableLogTest, SegmentBytesArePinned) {
+  // A fixed sequence of every record kind across several rotations. The
+  // digest covers each segment file's name and bytes, in name order; it
+  // was computed when records were still framed through intermediate
+  // copies, so any change to the bytes the log writes fails here.
+  DurableLogOptions options;
+  options.sync_policy = SyncPolicy::kNever;
+  options.segment_target_bytes = 512;
+  {
+    auto log = MustOpen(options);
+    ASSERT_TRUE(log->PersistHardState(1, 0).ok());
+    for (uint64_t i = 1; i <= 40; ++i) {
+      std::string payload;
+      for (uint64_t k = 0; k < (i * 37) % 300; ++k) {
+        payload.push_back(static_cast<char>('a' + (i + k) % 26));
+      }
+      ASSERT_TRUE(log->AppendEntry(i, Entry(1, payload)).ok());
+    }
+    ASSERT_TRUE(log->AppendEntry(41, Entry(1, std::string(2000, 'z'))).ok());
+    ASSERT_TRUE(log->TruncateSuffix(38).ok());
+    ASSERT_TRUE(log->PersistHardState(2, 1).ok());
+    for (uint64_t i = 38; i <= 45; ++i) {
+      ASSERT_TRUE(
+          log->AppendEntry(i, Entry(2, "t2-" + std::to_string(i))).ok());
+    }
+    ASSERT_TRUE(log->PersistWatermark(12, 1, 99).ok());
+    ASSERT_TRUE(log->AppendEntry(46, Entry(2, "")).ok());
+  }
+  std::vector<std::string> names;
+  for (const auto& file : fs::directory_iterator(dir_)) {
+    names.push_back(file.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  uint32_t digest = 0;
+  for (const std::string& name : names) {
+    std::ifstream in(dir_ / name, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    digest = crc32c::Extend(digest, name.data(), name.size());
+    digest = crc32c::Extend(digest, bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(digest, 0x0e129126u);
 }
 
 TEST_F(DurableLogTest, DropUnsyncedLosesExactlyTheUnsyncedSuffix) {

@@ -33,6 +33,7 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
     std::unique_ptr<objectstore::MemoryObjectStore> store;
     std::unique_ptr<Cluster> cluster;
     std::vector<reference::TenantRows> written;  // every acked batch
+    size_t archived_writes = 0;  // written[0, archived_writes) is archived
   };
 
   // A 4-worker deployment with small LogBlocks (every tenant spans many
@@ -72,6 +73,7 @@ class ScatterQueryTest : public ::testing::TestWithParam<int> {
     auto built = deployment.cluster->RunBuildPass();
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     EXPECT_GT(*built, 0);
+    deployment.archived_writes = deployment.written.size();
     if (with_realtime_tail) {
       for (uint64_t tenant = 0; tenant < 3; ++tenant) {
         for (int i = 0; i < 6; ++i) write(tenant, 25);
@@ -225,6 +227,58 @@ TEST_P(ScatterQueryTest, MatchesAcrossPlacementChanges) {
 
   ASSERT_TRUE(cluster->RestartWorker(1).ok());  // rejoins empty
   reverify("after rejoin of worker 1");
+}
+
+TEST_P(ScatterQueryTest, ArchivedRowsThatFillTheLimitTakeNoRealtimeRow) {
+  // A row query's realtime rows merge after its archived rows and stop at
+  // the limit, so a read whose archived rows fill the limit skips the
+  // realtime scans; one whose limit they do not fill still merges them.
+  auto deployment = OpenDeployment(4);
+  const std::vector<reference::TenantRows> archived(
+      deployment.written.begin(),
+      deployment.written.begin() + deployment.archived_writes);
+  query::LogQuery query;
+  query.tenant_id = static_cast<uint64_t>(GetParam()) % 3;
+  query.ts_min = 0;
+  query.ts_max = kHistory;
+  for (bool with_predicate : {false, true}) {
+    query.predicates.clear();
+    if (with_predicate) {
+      query.predicates.push_back(query::Predicate::Int64Compare(
+          "latency", query::CompareOp::kGe, 100));
+    }
+    query.limit = 0;
+    const size_t archived_matches =
+        reference::Evaluate(archived, query).rows.size();
+    const size_t all_matches =
+        reference::Evaluate(deployment.written, query).rows.size();
+    ASSERT_GT(archived_matches, 1u);
+    ASSERT_GT(all_matches, archived_matches);
+    for (uint32_t limit :
+         {1u, static_cast<uint32_t>(archived_matches / 2),
+          static_cast<uint32_t>(archived_matches),
+          static_cast<uint32_t>(archived_matches + 1), 0u}) {
+      query.limit = limit;
+      const std::string label = "predicate=" + std::to_string(with_predicate) +
+                                " limit=" + std::to_string(limit);
+      auto result = deployment.cluster->Query(query);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      reference::ExpectMatchesReference(
+          reference::Evaluate(deployment.written, query), query, *result,
+          label);
+      if (limit != 0 && limit <= archived_matches) {
+        // Archived rows only: the answer the reference gives over the
+        // archived writes alone.
+        EXPECT_EQ(result->stats.realtime_rows, 0u) << label;
+        reference::ExpectMatchesReference(reference::Evaluate(archived, query),
+                                          query, *result, label);
+      } else {
+        const size_t want = limit == 0 ? all_matches : limit;
+        EXPECT_EQ(result->stats.realtime_rows, want - archived_matches)
+            << label;
+      }
+    }
+  }
 }
 
 TEST_P(ScatterQueryTest, DeadOwnerIsRetryableNotPartial) {
