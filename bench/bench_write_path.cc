@@ -1,7 +1,7 @@
 // Write-path micro-benchmarks: the per-write CPU work of one replicated
 // write outside raft. BM_WalRecord encodes a tenant's batch into its WAL
-// record (the leader, before Propose) and decodes it back (every applying
-// replica); BM_RowStore appends decoded batches to the realtime row store,
+// record (the leader, before Propose) and decodes it back (node 0, the
+// applying replica); BM_RowStore appends decoded batches to the realtime row store,
 // scans one tenant's newest rows (a tail read) and snapshots and truncates
 // the store (a build pass cut mid-write, then the rest). Every case runs
 // over the same 64 LogGenerator batches of 100 rows, 16 tenants; items are

@@ -24,8 +24,9 @@ namespace logstore::cluster {
 struct ClusterDeploymentOptions {
   uint32_t num_workers = 4;
   uint32_t shards_per_worker = 4;
-  // `worker.wal_dir`, when set, is the base of the deployment's durable
-  // state: each worker's replica WALs live under <wal_dir>/worker-<id>, so
+  // `worker.wal_dir`, set exactly when `worker.replicated` is (Open refuses
+  // one without the other), is the base of the deployment's durable state:
+  // each worker's replica WALs live under <wal_dir>/worker-<id>, so
   // re-Opening a cluster over the same directory is a full restart — every
   // worker recovers its term/vote/log/watermark from disk.
   WorkerOptions worker;
@@ -110,8 +111,8 @@ class Cluster {
   Result<int> ExpireTenantData(uint64_t tenant, int64_t cutoff_ts);
 
   // Tears one worker down and reconstructs it over its own wal_dir — a
-  // single worker-process restart inside a live deployment (durable mode
-  // only). Acked writes survive: they are either in LogBlocks on the
+  // single worker-process restart inside a live deployment (replicated
+  // mode only). Acked writes survive: they are either in LogBlocks on the
   // object store or recovered from the worker's replica WALs.
   //
   // For a FAILED-OVER worker this is the rejoin path instead: its tail was

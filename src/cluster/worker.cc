@@ -7,7 +7,7 @@ namespace logstore::cluster {
 Worker::Worker(uint32_t id, objectstore::ObjectStore* store,
                logblock::LogBlockMap* map, WorkerOptions options)
     : id_(id), options_(std::move(options)), store_(store) {
-  primary_store_ = std::make_unique<rowstore::RowStore>(options_.schema);
+  row_store_ = std::make_unique<rowstore::RowStore>(options_.schema);
   DataBuilderOptions builder_options = options_.builder;
   // Per-tenant directories in a shared bucket; the salt scopes sequence
   // numbers to this worker incarnation so no two lives of a worker (or two
@@ -17,71 +17,68 @@ Worker::Worker(uint32_t id, objectstore::ObjectStore* store,
                              std::to_string(options_.incarnation) + "-";
   builder_ = std::make_unique<DataBuilder>(store, map, builder_options);
 
-  if (options_.replicated) {
-    replica_store_ = std::make_unique<rowstore::RowStore>(options_.schema);
-    raft_ = std::make_unique<consensus::RaftCluster>(3, options_.raft,
-                                                     /*seed=*/1000 + id);
-    // Replica 0: primary full row store. Replica 1: second full row store.
-    // Replica 2: WAL-only (stores the log, applies nothing) — the §3
-    // storage-cost trade-off.
-    for (int i = 0; i < 3; ++i) {
-      raft_->SetApplyFn(i, MakeApplyFn(i));
-      InstallSnapshotHooks(i);
+  // Replication is what the WAL is for, and the WAL is what makes an acked
+  // replicated write durable: one without the other is refused.
+  if (options_.replicated == options_.wal_dir.empty()) {
+    wal_status_ = Status::InvalidArgument(
+        options_.replicated ? "a replicated worker needs a wal_dir"
+                            : "a wal_dir needs a replicated worker");
+    return;
+  }
+  if (!options_.replicated) return;
+
+  // Recover each replica's WAL before the raft group exists, so a worker
+  // whose journal cannot be opened never runs raft without one.
+  for (int i = 0; i < 3; ++i) {
+    auto wal = consensus::DurableLog::Open(WalNodeDir(i), options_.wal);
+    if (!wal.ok()) {
+      wal_status_ = wal.status();
+      wals_.clear();
+      return;
     }
+    wals_.push_back(std::move(wal).value());
+  }
+  raft_ = std::make_unique<consensus::RaftCluster>(3, options_.raft,
+                                                   /*seed=*/1000 + id);
+  // Node 0 applies into the row store; nodes 1 and 2 store the log and
+  // apply nothing (§3: "it can store only WAL on other replicas").
+  for (int i = 0; i < 3; ++i) {
+    raft_->SetApplyFn(i, i == 0 ? MakeApplyFn() : consensus::ApplyFn());
+    InstallSnapshotHooks(i);
+    // After SetApplyFn — that recreates the node.
+    raft_->AttachPersistence(i, wals_[i].get(), &wals_[i]->recovered());
+  }
+  // The builder's object-key numbering rides in the watermark cookie of
+  // node 0's WAL, so recovered uploads never collide with LogBlocks
+  // already on the object store.
+  builder_->set_next_sequence(wals_[0]->recovered().watermark_aux);
 
-    if (!options_.wal_dir.empty()) {
-      // Durable mode: recover each replica's WAL (after SetApplyFn — that
-      // recreates the node) and attach it as the raft persistence layer.
-      for (int i = 0; i < 3; ++i) {
-        auto wal = consensus::DurableLog::Open(WalNodeDir(i), options_.wal);
-        if (!wal.ok()) {
-          wal_status_ = wal.status();
-          wals_.clear();
-          return;
-        }
-        wals_.push_back(std::move(wal).value());
-        raft_->AttachPersistence(i, wals_[i].get(), &wals_[i]->recovered());
-      }
-      // The builder's object-key numbering rides in the watermark cookie of
-      // the primary's WAL, so recovered uploads never collide with
-      // LogBlocks already on the object store.
-      builder_->set_next_sequence(wals_[0]->recovered().watermark_aux);
-
-      const int leader = raft_->WaitForLeader();
-      if (leader >= 0 &&
-          raft_->node(leader).log_size() >
-              raft_->node(leader).log_base_index()) {
-        // Recovered entries carry earlier terms, and Raft §5.4.2 forbids
-        // committing those by counting. A no-op barrier in the new term
-        // re-commits everything beneath it, replaying committed entries
-        // into the row stores through the normal apply path.
-        const uint64_t barrier = raft_->node(leader).log_size() + 1;
-        raft_->node(leader).Propose("").IgnoreError();
-        for (int i = 0;
-             i < 1000 && raft_->node(0).last_applied() < barrier; ++i) {
-          raft_->Tick(10);
-        }
-      }
-    } else {
-      raft_->WaitForLeader();
+  const int leader = raft_->WaitForLeader();
+  if (leader >= 0 &&
+      raft_->node(leader).log_size() > raft_->node(leader).log_base_index()) {
+    // Recovered entries carry earlier terms, and Raft §5.4.2 forbids
+    // committing those by counting. A no-op barrier in the new term
+    // re-commits everything beneath it, replaying committed entries into
+    // node 0's row store through the normal apply path.
+    const uint64_t barrier = raft_->node(leader).log_size() + 1;
+    raft_->node(leader).Propose("").IgnoreError();
+    for (int i = 0; i < 1000 && raft_->node(0).last_applied() < barrier;
+         ++i) {
+      raft_->Tick(10);
     }
   }
 }
 
-consensus::ApplyFn Worker::MakeApplyFn(int node) {
-  rowstore::RowStore* target = store_for(node);
-  if (target == nullptr) return consensus::ApplyFn();  // WAL-only replica
-  return [this, target](uint64_t index, const std::string& payload) {
+consensus::ApplyFn Worker::MakeApplyFn() {
+  return [this](uint64_t index, const std::string& payload) {
     // Empty payloads are recovery no-op barriers, not data.
     if (!payload.empty()) {
       auto record = rowstore::DecodeWalRecord(payload, options_.schema);
       if (record.ok()) {
-        target->Append(record->tenant_id, std::move(record->rows));
+        row_store_->Append(record->tenant_id, std::move(record->rows));
       }
     }
-    if (target == primary_store_.get()) {
-      applied_index_to_seq_[index] = primary_store_->last_seq();
-    }
+    applied_index_to_seq_[index] = row_store_->last_seq();
   };
 }
 
@@ -90,11 +87,10 @@ consensus::InstallSnapshotFn Worker::MakeInstallFn(int node) {
                       const std::string& state) {
     // Everything the snapshot covers lives in LogBlocks on the object
     // store (the aux cookie is the builder's object-key sequence at the
-    // time of the snapshot): drop the local rows and serve that prefix
+    // time of the snapshot): node 0 drops its rows and serves that prefix
     // from shared storage — Taurus-style catch-up, no log replay.
-    rowstore::RowStore* target = store_for(node);
-    if (target != nullptr) target->ResetToArchived();
     if (node == 0) {
+      row_store_->ResetToArchived();
       // Mappings recorded before the snapshot refer to discarded rows.
       applied_index_to_seq_.clear();
       builder_->set_next_sequence(std::max(builder_->next_sequence(), aux));
@@ -159,34 +155,26 @@ Status Worker::RecoverReplica(int node) {
   if (raft_ == nullptr) {
     return Status::InvalidArgument("recovery needs a replicated worker");
   }
-  if (!wals_.empty()) {
-    // Release the dead log before reopening the directory.
-    wals_[node].reset();
-    auto wal = consensus::DurableLog::Open(WalNodeDir(node), options_.wal);
-    if (!wal.ok()) return wal.status();
-    wals_[node] = std::move(wal).value();
-  }
+  // Release the dead log before reopening the directory.
+  wals_[node].reset();
+  auto wal = consensus::DurableLog::Open(WalNodeDir(node), options_.wal);
+  if (!wal.ok()) return wal.status();
+  wals_[node] = std::move(wal).value();
   // A fresh raft node models the restarted process: volatile state is
-  // gone; with a durable WAL, term/vote/log reload from it (in-memory mode
-  // rejoins empty and the leader repairs it over the wire).
-  raft_->RestartNode(node, MakeApplyFn(node));
-  if (!wals_.empty()) {
-    raft_->AttachPersistence(node, wals_[node].get(),
-                             &wals_[node]->recovered());
-  }
+  // gone, and term/vote/log reload from the WAL.
+  raft_->RestartNode(node, node == 0 ? MakeApplyFn() : consensus::ApplyFn());
+  raft_->AttachPersistence(node, wals_[node].get(), &wals_[node]->recovered());
   InstallSnapshotHooks(node);
-  // The restarted process starts with an empty row store. Rows at or below
-  // the recovered base are in LogBlocks already; the rest re-apply through
-  // the protocol once the node rejoins (or arrive via InstallSnapshot if
-  // the group's base has moved past this replica's log).
-  rowstore::RowStore* target = store_for(node);
-  if (target != nullptr) target->ResetToArchived();
   if (node == 0) {
+    // The restarted process starts with an empty row store. Rows at or
+    // below the recovered base are in LogBlocks already; the rest re-apply
+    // through the protocol once the node rejoins (or arrive via
+    // InstallSnapshot if the group's base has moved past this replica's
+    // log).
+    row_store_->ResetToArchived();
     applied_index_to_seq_.clear();
-    if (!wals_.empty()) {
-      builder_->set_next_sequence(std::max(
-          builder_->next_sequence(), wals_[node]->recovered().watermark_aux));
-    }
+    builder_->set_next_sequence(std::max(
+        builder_->next_sequence(), wals_[node]->recovered().watermark_aux));
   }
   raft_->Reconnect(node);
   return Status::OK();
@@ -245,44 +233,40 @@ Status Worker::Write(uint64_t tenant, const logblock::RowBatch& rows) {
     return Status::Unavailable("worker " + std::to_string(id_) +
                                " is fenced (failed over)");
   }
-  if (options_.replicated) {
-    if (!wal_status_.ok()) return wal_status_;
-    // Encoded before the raft lock is taken; only the proposal needs it.
-    std::string record = rowstore::EncodeWalRecord(tenant, rows);
-    // Synchronous commit: propose on the leader and pump the group until
-    // the entry is applied (models "the synchronization can only be
-    // completed after most of the followers have persisted the WAL").
-    std::lock_guard<std::mutex> lock(raft_mu_);
-    const int leader = raft_->WaitForLeader();
-    if (leader < 0) return Status::Unavailable("no raft leader");
-    const uint64_t target = raft_->node(leader).log_size() + 1;
-    Status proposed = raft_->node(leader).Propose(std::move(record));
-    if (!proposed.ok()) return proposed;  // kResourceExhausted = BFC
-    // Wait for the commit to reach the primary replica (node 0, whose row
-    // store serves real-time reads), not just the current leader.
-    for (int i = 0; i < 1000 && raft_->node(0).last_applied() < target; ++i) {
-      raft_->Tick(10);
-    }
-    if (raft_->node(0).last_applied() < target) {
-      return Status::TimedOut("replication did not complete");
-    }
-    // Group commit: the ack below promises durability on every replica
-    // under kOnSync as well as kPerRecord.
-    if (!wals_.empty()) {
-      LOGSTORE_RETURN_IF_ERROR(raft_->SyncAll());
-    }
-  } else {
-    primary_store_->Append(tenant, rows);
+  if (!wal_status_.ok()) return wal_status_;
+  if (!options_.replicated) {
+    row_store_->Append(tenant, rows);
+    return Status::OK();
   }
-
-  return Status::OK();
+  // Encoded before the raft lock is taken; only the proposal needs it.
+  std::string record = rowstore::EncodeWalRecord(tenant, rows);
+  // Synchronous commit: propose on the leader and pump the group until
+  // the entry is applied (models "the synchronization can only be
+  // completed after most of the followers have persisted the WAL").
+  std::lock_guard<std::mutex> lock(raft_mu_);
+  const int leader = raft_->WaitForLeader();
+  if (leader < 0) return Status::Unavailable("no raft leader");
+  const uint64_t target = raft_->node(leader).log_size() + 1;
+  Status proposed = raft_->node(leader).Propose(std::move(record));
+  if (!proposed.ok()) return proposed;  // kResourceExhausted = BFC
+  // Wait for the commit to reach node 0, whose row store serves real-time
+  // reads, not just the current leader.
+  for (int i = 0; i < 1000 && raft_->node(0).last_applied() < target; ++i) {
+    raft_->Tick(10);
+  }
+  if (raft_->node(0).last_applied() < target) {
+    return Status::TimedOut("replication did not complete");
+  }
+  // Group commit: the ack promises durability on every replica under
+  // kOnSync as well as kPerRecord.
+  return raft_->SyncAll();
 }
 
 Result<int> Worker::RunBuildPass(bool advance_watermark) {
   // Under the raft lock end to end: the builder's sequence counter and the
   // applied-index map are shared with the monitor thread's RecoverReplica.
   std::lock_guard<std::mutex> lock(raft_mu_);
-  auto built = builder_->BuildOnce(primary_store_.get());
+  auto built = builder_->BuildOnce(row_store_.get());
   if (built.ok() && advance_watermark && !wals_.empty()) {
     AdvanceWalWatermark();
   }
@@ -294,7 +278,7 @@ void Worker::AdvanceWalWatermark() {
   // the object store) into the largest entry index whose rows are ALL
   // archived. SnapshotForBuild can cut mid-entry, so an entry straddling
   // the checkpoint keeps the watermark below it until the next pass.
-  const uint64_t archived = primary_store_->archived_seq();
+  const uint64_t archived = row_store_->archived_seq();
   uint64_t watermark = 0;
   for (const auto& [index, seq] : applied_index_to_seq_) {
     if (seq > archived) break;
@@ -318,7 +302,7 @@ void Worker::AdvanceWalWatermark() {
 logblock::RowBatch Worker::ScanRealtime(
     uint64_t tenant, int64_t ts_min, int64_t ts_max,
     const std::vector<query::Predicate>& predicates) const {
-  return primary_store_->ScanTenant(tenant, ts_min, ts_max, predicates);
+  return row_store_->ScanTenant(tenant, ts_min, ts_max, predicates);
 }
 
 }  // namespace logstore::cluster

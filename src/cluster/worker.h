@@ -20,20 +20,21 @@ namespace logstore::cluster {
 
 struct WorkerOptions {
   logblock::Schema schema;
-  // When true, every write goes through a 3-replica Raft group (two full
-  // row stores + one WAL-only replica, the §3 production layout) before it
-  // is acknowledged. When false, writes apply directly — the mode used by
-  // large-scale scheduling simulations.
+  // When true, every write goes through a 3-replica Raft group before it
+  // is acknowledged: node 0 applies it into the worker's row store, and
+  // nodes 1 and 2 keep only the WAL (DESIGN §2 says why no follower keeps
+  // a second row store). When false, writes apply directly — the mode used
+  // by large-scale scheduling simulations. Set exactly when wal_dir is:
+  // the constructor refuses either one without the other (wal_status()).
   bool replicated = false;
   consensus::RaftOptions raft;
   DataBuilderOptions builder;
 
-  // Non-empty (with replicated=true): each replica keeps a durable WAL at
-  // <wal_dir>/node-<i>, so constructing a worker over an existing directory
-  // is a process restart — term, vote and log reload from disk, committed
-  // entries replay into the row stores, and the builder's object-key
-  // sequence resumes from the recovered watermark cookie. Empty: in-memory
-  // replication only (the original simulation behavior).
+  // The replicas' durable WALs, one at <wal_dir>/node-<i>. Constructing a
+  // worker over an existing directory is a process restart — term, vote
+  // and log reload from disk, committed entries replay into node 0's row
+  // store, and the builder's object-key sequence resumes from the
+  // recovered watermark cookie.
   std::string wal_dir;
   consensus::DurableLogOptions wal;
 
@@ -98,9 +99,9 @@ class Worker {
 
   // Local-write phase: WAL + replication + row-store apply. Returns
   // ResourceExhausted under backpressure (BFC), letting the client retry
-  // at a reduced rate. An OK return means the batch is applied on the
-  // primary AND durable on every replica WAL (SyncAll ran) — the crash
-  // harness holds the worker to exactly this promise.
+  // at a reduced rate. An OK return means the batch is applied on node 0
+  // AND durable on every replica WAL (SyncAll ran) — the crash harness
+  // holds the worker to exactly this promise.
   Status Write(uint64_t tenant, const logblock::RowBatch& rows);
 
   // Remote-archive phase: one data-builder pass. Returns LogBlocks built.
@@ -117,12 +118,12 @@ class Worker {
       uint64_t tenant, int64_t ts_min, int64_t ts_max,
       const std::vector<query::Predicate>& predicates = {}) const;
 
-  rowstore::RowStore* row_store() { return primary_store_.get(); }
+  rowstore::RowStore* row_store() { return row_store_.get(); }
   const DataBuilder& builder() const { return *builder_; }
 
-  // Durable-WAL introspection (null when wal_dir is unset / not
-  // replicated). After SimulateCrash on the returned logs, destroy the
-  // worker and construct a new one over the same wal_dir.
+  // Durable-WAL introspection (null when not replicated). After
+  // SimulateCrash on the returned logs, destroy the worker and construct a
+  // new one over the same wal_dir.
   consensus::DurableLog* wal(int node) {
     return node < static_cast<int>(wals_.size()) ? wals_[node].get() : nullptr;
   }
@@ -130,7 +131,7 @@ class Worker {
   // Error from opening/recovering the WALs; Write fails with it when set.
   const Status& wal_status() const { return wal_status_; }
 
-  // Kills one replica in place (durable mode): partitions it from the
+  // Kills one replica in place (replicated mode): partitions it from the
   // group and mangles its WAL the way a crash at this instant could have.
   // The surviving majority keeps accepting writes; WAL GC on the live
   // replicas keeps advancing (their disk usage stays bounded).
@@ -139,11 +140,10 @@ class Worker {
   // from it (volatile state lost, like a real process restart) and rejoins
   // the group. If the group's log base has moved past what this replica
   // holds, the leader repairs it with an InstallSnapshot — drive ticks
-  // (e.g. via Write) to let it catch up. In-memory replicated mode rejoins
-  // with an empty log (the leader repairs it entirely over the wire).
+  // (e.g. via Write) to let it catch up.
   Status RecoverReplica(int node);
 
-  // Fault injection for the chaos harness (durable mode): the next WAL
+  // Fault injection for the chaos harness (replicated mode): the next WAL
   // fsync on `node` fails with EIO, wedging that replica fail-stop the
   // next time the group tries to ack a write.
   Status InjectReplicaSyncError(int node);
@@ -185,20 +185,16 @@ class Worker {
   // replica WAL and GCs segments below it.
   void AdvanceWalWatermark();
 
-  // The apply / snapshot-install behavior of one raft node, reusable for
-  // both construction and RecoverReplica (which rebuilds the node).
-  consensus::ApplyFn MakeApplyFn(int node);
+  // Node 0's apply function and one node's snapshot-install behavior,
+  // reusable for both construction and RecoverReplica (which rebuilds the
+  // node). Nodes 1 and 2 are WAL-only: they get no apply function.
+  consensus::ApplyFn MakeApplyFn();
   consensus::InstallSnapshotFn MakeInstallFn(int node);
   void InstallSnapshotHooks(int node);
   // Leader-side snapshot blob: the archived-key manifest (see
   // InstallSnapshotHooks). Follower-side check of a received manifest.
   std::string BuildSnapshotManifest() const;
   void VerifySnapshotManifest(const std::string& manifest);
-  rowstore::RowStore* store_for(int node) {
-    if (node == 0) return primary_store_.get();
-    if (node == 1) return replica_store_.get();
-    return nullptr;  // node 2 is WAL-only
-  }
   std::string WalNodeDir(int node) const {
     return options_.wal_dir + "/node-" + std::to_string(node);
   }
@@ -211,17 +207,16 @@ class Worker {
   std::atomic<uint64_t> manifest_keys_checked_{0};
   std::atomic<uint64_t> manifest_keys_unverified_{0};
 
-  // Replica row stores. Index 0 is the primary; with replication, index 1
-  // is the second full copy and index 2 is WAL-only (never applied).
-  std::unique_ptr<rowstore::RowStore> primary_store_;
-  std::unique_ptr<rowstore::RowStore> replica_store_;
+  // The worker's one row store: raft node 0 applies into it when
+  // replicated, Write appends to it directly when not.
+  std::unique_ptr<rowstore::RowStore> row_store_;
   std::unique_ptr<consensus::RaftCluster> raft_;
 
   // Durable WALs, one per replica, indexed like raft nodes.
   std::vector<std::unique_ptr<consensus::DurableLog>> wals_;
   Status wal_status_ = Status::OK();
-  // Apply-order map from raft entry index to the primary row store's last
-  // seq after applying it; lets the build pass translate "rows archived
+  // Apply-order map from raft entry index to the row store's last seq
+  // after node 0 applied it; lets the build pass translate "rows archived
   // through seq S" into "entries archived through index I" for WAL GC.
   std::map<uint64_t, uint64_t> applied_index_to_seq_;
 

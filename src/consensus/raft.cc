@@ -254,7 +254,7 @@ void RaftNode::DrainApplyQueue(int budget) {
   int applied = 0;
   while (!apply_queue_.empty() && (budget == 0 || applied < budget)) {
     auto& [index, payload] = apply_queue_.front();
-    if (options_.apply_enabled && apply_fn_) apply_fn_(index, payload);
+    if (apply_fn_) apply_fn_(index, payload);
     last_applied_ = index;
     apply_queue_bytes_ -= payload.size();
     apply_queue_.pop_front();

@@ -141,16 +141,12 @@ struct RaftOptions {
   // then the sync queue fills, then Propose returns ResourceExhausted.
   uint64_t max_uncommitted_entries = 4096;
 
-  // §3: "it can store only WAL on other replicas" — a WAL-only replica
-  // participates in replication and voting but never applies entries to a
-  // row store.
-  bool apply_enabled = true;
-
   // Chunked InstallSnapshot: state blobs larger than this are shipped in
   // offset-framed chunks with per-chunk acks, so an embedder with large
   // per-replica state can catch up across a lossy link without one giant
-  // RPC. 0 = unchunked (single-message snapshots, the original behavior;
-  // LogStore workers ship empty blobs, so they never chunk either way).
+  // RPC. 0 = unchunked (single-message snapshots, the original behavior).
+  // A LogStore worker's blob is its archived-key manifest, one line per
+  // LogBlock, so it chunks once the manifest outgrows this limit.
   size_t snapshot_chunk_bytes = 0;
 
   // Transport retransmit schedule (RetryPolicy semantics, in delivery
@@ -172,14 +168,19 @@ struct RaftOptions {
   metrics::MetricRegistry* registry = nullptr;
 };
 
-// Applies committed entries; the worker's row store implements this.
+// Applies committed entries; the worker's row store implements this. A
+// node without one is WAL-only (§3: "it can store only WAL on other
+// replicas"): it replicates, votes and advances last_applied(), but
+// applies nothing.
 using ApplyFn = std::function<void(uint64_t index, const std::string& payload)>;
 
 // Produces the opaque state blob a leader ships in InstallSnapshot: the
 // state machine's content through `index` (whose watermark cookie is
 // `aux`). For LogStore the rows below the watermark already live in OSS
-// LogBlocks, so the blob is typically empty — the snapshot re-points the
-// follower at shared storage rather than copying state.
+// LogBlocks, so the blob carries no rows: it is the worker's archived-key
+// manifest, which the installer checks against shared storage — the
+// snapshot re-points the follower at shared storage rather than copying
+// state.
 using SnapshotStateFn = std::function<std::string(uint64_t index, uint64_t aux)>;
 
 // Installs a received snapshot: REPLACES the state machine's content with

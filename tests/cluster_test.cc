@@ -470,12 +470,18 @@ TEST(ClusterBuildPassTest, FailedPassIsRetriedWithoutDuplicates) {
 }
 
 TEST(ReplicatedClusterTest, WritesSurviveThroughRaft) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cluster_test_raft_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
   objectstore::MemoryObjectStore store;
   ClusterDeploymentOptions options;
   options.num_workers = 1;
   options.shards_per_worker = 1;
   options.worker.schema = logblock::RequestLogSchema();
   options.worker.replicated = true;
+  options.worker.wal_dir = dir.string();
   options.worker.raft.election_timeout_min_ms = 50;
   options.worker.raft.election_timeout_max_ms = 100;
   options.worker.raft.heartbeat_interval_ms = 20;
@@ -490,6 +496,9 @@ TEST(ReplicatedClusterTest, WritesSurviveThroughRaft) {
   auto result = (*cluster)->Query(query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 1u);
+
+  cluster->reset();
+  fs::remove_all(dir);
 }
 
 TEST(ReplicatedClusterTest, DurableWorkerRestartKeepsAckedWrites) {
@@ -529,7 +538,7 @@ TEST(ReplicatedClusterTest, RestartWithoutWalDirIsRejected) {
   options.num_workers = 1;
   options.shards_per_worker = 1;
   options.worker.schema = logblock::RequestLogSchema();
-  options.worker.replicated = true;  // no wal_dir: in-memory consensus only
+  // Unreplicated: there is no wal_dir to restart the worker over.
   options.engine.prefetch_threads = 2;
   options.engine.cache_options.ssd_dir.clear();
   auto cluster = Cluster::Open(&store, options);
@@ -538,6 +547,114 @@ TEST(ReplicatedClusterTest, RestartWithoutWalDirIsRejected) {
   // Restarting a worker with no journal would silently lose acked writes;
   // the cluster refuses instead of pretending.
   EXPECT_FALSE((*cluster)->RestartWorker(0).ok());
+}
+
+TEST(ReplicatedClusterTest, ReplicationNeedsAWalDir) {
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 1;
+  options.shards_per_worker = 1;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.replicated = true;  // and no wal_dir
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  auto cluster = Cluster::Open(&store, options);
+  ASSERT_FALSE(cluster.ok());
+  EXPECT_TRUE(cluster.status().IsInvalidArgument())
+      << cluster.status().ToString();
+}
+
+TEST(ReplicatedClusterTest, WalDirNeedsReplication) {
+  // An unreplicated worker never opens a WAL, so a wal_dir would only make
+  // RestartWorker look safe: it would restart the worker over a directory
+  // that holds none of its acked writes.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("cluster_test_unreplicated_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 1;
+  options.shards_per_worker = 1;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.wal_dir = dir.string();  // and replicated = false
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  auto cluster = Cluster::Open(&store, options);
+  EXPECT_FALSE(cluster.ok());
+  EXPECT_TRUE(cluster.status().IsInvalidArgument())
+      << cluster.status().ToString();
+
+  fs::remove_all(dir);
+}
+
+TEST(ReplicatedClusterTest, QuiescentBuildPassRetainsNothing) {
+  // Node 0 is the only replica that applies writes. Once every replica has
+  // applied every write and a build pass has run, no worker may hold a row
+  // and no replica a raft entry above the archive watermark.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cluster_test_retention_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 2;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.replicated = true;
+  options.worker.wal_dir = dir.string();
+  options.worker.wal.sync_policy = consensus::SyncPolicy::kNever;
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  auto opened = Cluster::Open(&store, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Cluster> cluster = std::move(opened).value();
+
+  workload::LogGenerator gen(21);
+  std::map<uint64_t, uint64_t> acked;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      const uint64_t tenant = 1 + i % 4;
+      const int64_t ts = (round * 50 + i) * 100;
+      ASSERT_TRUE(
+          cluster->Write(tenant, gen.Generate(tenant, 100, ts, ts + 100)).ok());
+      acked[tenant] += 100;
+    }
+    // A write is acked once node 0 applied it; let the followers apply it
+    // too, so the watermark is not clamped below any replica's log.
+    for (uint32_t w = 0; w < cluster->num_workers(); ++w) {
+      cluster->worker(w)->PumpRaft(500);
+    }
+    auto built = cluster->RunBuildPass();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+  }
+
+  for (uint32_t w = 0; w < cluster->num_workers(); ++w) {
+    Worker* worker = cluster->worker(w);
+    EXPECT_EQ(worker->row_store()->row_count(), 0u) << "worker " << w;
+    EXPECT_EQ(worker->row_store()->ApproximateBytes(), 0u) << "worker " << w;
+    for (int node = 0; node < 3; ++node) {
+      const consensus::RaftNode& raft = worker->raft()->node(node);
+      EXPECT_GT(raft.log_base_index(), 0u)
+          << "worker " << w << " node " << node << " archived nothing";
+      EXPECT_EQ(raft.log_size(), raft.log_base_index())
+          << "worker " << w << " node " << node;
+    }
+  }
+  for (const auto& [tenant, rows] : acked) {
+    query::LogQuery query;
+    query.tenant_id = tenant;
+    query.agg = query::Aggregate::Count();
+    auto result = cluster->Query(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->agg.rows, rows) << "tenant " << tenant;
+  }
+
+  cluster.reset();
+  fs::remove_all(dir);
 }
 
 int ThreadCount() {
