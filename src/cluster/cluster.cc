@@ -587,17 +587,17 @@ Status Cluster::Write(uint64_t tenant, const logblock::RowBatch& rows) {
 }
 
 Status Cluster::WriteImpl(uint64_t tenant, const logblock::RowBatch& rows) {
-  controller_->EnsureTenantRoute(tenant);
-  const flow::RouteTable routes = controller_->routes();
-  uint32_t shard = 0;
+  double uniform = 0;
   {
-    // The RNG is the only shared-mutable state on this path; its lock
-    // covers exactly the shard pick. (Every other broker write used to
-    // serialize here on the global metrics lock — twice per call.)
+    // The RNG is the broker's only shared-mutable state on this path; its
+    // lock covers exactly the one draw each write makes, so a seeded
+    // sequence of writes always lands on the same shards.
     std::lock_guard<std::mutex> lock(rng_mu_);
-    if (!routes.PickShard(tenant, &rng_, &shard)) {
-      return Status::Internal("no route for tenant");
-    }
+    uniform = rng_.NextDouble();
+  }
+  uint32_t shard = 0;
+  if (!controller_->PickShard(tenant, uniform, &shard)) {
+    return Status::Internal("no route for tenant");
   }
   const uint32_t worker_id = controller_->WorkerForShard(shard);
   // Liveness check before dereferencing: between a worker's death and the

@@ -194,6 +194,10 @@ Status Controller::ReviveWorker(uint32_t worker) {
 
 void Controller::EnsureTenantRoute(uint64_t tenant) {
   std::lock_guard<std::mutex> lock(mu_);
+  EnsureTenantRouteLocked(tenant);
+}
+
+void Controller::EnsureTenantRouteLocked(uint64_t tenant) {
   if (routes_.Contains(tenant)) return;
   routes_.Set(tenant, {{ring_.GetNode(tenant), 1.0}});
 }
@@ -201,6 +205,12 @@ void Controller::EnsureTenantRoute(uint64_t tenant) {
 flow::RouteTable Controller::routes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return routes_;
+}
+
+bool Controller::PickShard(uint64_t tenant, double uniform, uint32_t* shard) {
+  std::lock_guard<std::mutex> lock(mu_);
+  EnsureTenantRouteLocked(tenant);
+  return routes_.PickShard(tenant, uniform, shard);
 }
 
 flow::ClusterState Controller::BuildState(

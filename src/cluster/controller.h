@@ -54,8 +54,15 @@ class Controller {
       const std::map<uint32_t, int64_t>& shard_loads,
       const std::map<uint32_t, int64_t>& worker_loads);
 
-  // Current write routing table (brokers copy it).
+  // A copy of the current write routing table.
   flow::RouteTable routes() const;
+
+  // The shard for one write of `tenant`, picked from the routing table in
+  // place under one lock: the tenant first gets its initial route if it
+  // has none (EnsureTenantRoute), then RouteTable::PickShard chooses with
+  // the caller's draw `uniform` in [0, 1). Returns false if the tenant has
+  // no shard.
+  bool PickShard(uint64_t tenant, double uniform, uint32_t* shard);
 
   // Shard -> worker placement: a dynamic map, seeded with the uniform
   // shard/shards_per_worker layout and rewritten by FailoverWorker. (The
@@ -160,6 +167,7 @@ class Controller {
   const ControllerOptions& options() const { return options_; }
 
  private:
+  void EnsureTenantRouteLocked(uint64_t tenant);  // requires mu_
   flow::ClusterState BuildState(
       const std::map<uint64_t, int64_t>& tenant_traffic,
       const std::map<uint32_t, int64_t>& shard_loads,

@@ -39,8 +39,15 @@ inline uint32_t HashPos(const char* p) {
 
 constexpr size_t kHashSize = 1u << 15;
 
+// Length of the common prefix of `a` and `b`, comparing up to `limit` on
+// `a`'s side (`b` precedes `a`, so its bytes are in range too): eight bytes
+// at a time while whole words match, then byte by byte.
 size_t MatchLength(const char* a, const char* b, const char* limit) {
   const char* start = a;
+  while (limit - a >= 8 && memcmp(a, b, 8) == 0) {
+    a += 8;
+    b += 8;
+  }
   while (a < limit && *a == *b) {
     ++a;
     ++b;
@@ -54,9 +61,28 @@ void EmitLiterals(const char* base, size_t lit_start, size_t lit_end,
   out->append(base + lit_start, lit_end - lit_start);
 }
 
+// The match finder's tables, one set per thread and reused by every call
+// on it. head[h] holds the most recent position with hash h and prev[i] the
+// position before i in i's hash chain, each stored as
+// `call_base + pos + 1`. Each call's call_base lies past every position an
+// earlier call stored, so an entry at or below it is left over from an
+// earlier call and reads as empty: no call has to zero the tables. prev[i]
+// is written before any chain reads it, so prev is never cleared at all;
+// head is zeroed only when the stored positions would wrap past uint32.
+struct MatchTables {
+  std::vector<uint32_t> head = std::vector<uint32_t>(kHashSize, 0);
+  std::vector<uint32_t> prev;
+  uint32_t next_base = 0;
+};
+
+MatchTables& ThreadMatchTables() {
+  thread_local MatchTables tables;
+  return tables;
+}
+
 // One LZ77 pass. `chain_depth` == 0 means a single hash-table probe (fast
 // mode); otherwise up to `chain_depth` previous candidates are searched via
-// hash chains for the longest match (ratio mode).
+// hash chains for the longest match, the nearest winning ties (ratio mode).
 void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
   const char* base = input.data();
   const size_t n = input.size();
@@ -68,11 +94,16 @@ void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
     return;
   }
 
-  // head[h] = most recent position with hash h (+1; 0 = empty).
-  std::vector<uint32_t> head(kHashSize, 0);
-  // prev[i % window] = previous position in the same hash chain.
-  std::vector<uint32_t> prev;
-  if (chain_depth > 0) prev.assign(n, 0);
+  MatchTables& tables = ThreadMatchTables();
+  if (n > UINT32_MAX - tables.next_base) {
+    std::fill(tables.head.begin(), tables.head.end(), 0);
+    tables.next_base = 0;
+  }
+  const uint32_t call_base = tables.next_base;
+  tables.next_base += static_cast<uint32_t>(n);
+  uint32_t* const head = tables.head.data();
+  if (chain_depth > 0 && tables.prev.size() < n) tables.prev.resize(n);
+  uint32_t* const prev = tables.prev.data();
 
   const char* match_limit = base + n;
   size_t pos = 0;
@@ -86,10 +117,13 @@ void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
 
     uint32_t cand = head[h];
     int probes = chain_depth > 0 ? chain_depth : 1;
-    while (cand != 0 && probes-- > 0) {
-      const size_t cpos = cand - 1;
+    while (cand > call_base && probes-- > 0) {
+      const size_t cpos = cand - call_base - 1;
       if (pos - cpos > kMaxOffset) break;
-      if (Read32(base + cpos) == Read32(base + pos)) {
+      // Only a strictly longer match replaces the best one, so a candidate
+      // that differs from it at byte best_len is passed over uncompared.
+      if (base[cpos + best_len] == base[pos + best_len] &&
+          Read32(base + cpos) == Read32(base + pos)) {
         const size_t len =
             kMinMatch +
             MatchLength(base + pos + kMinMatch, base + cpos + kMinMatch,
@@ -97,6 +131,7 @@ void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
         if (len > best_len) {
           best_len = len;
           best_off = pos - cpos;
+          if (pos + len == n) break;  // nothing can be longer
         }
       }
       if (chain_depth == 0) break;
@@ -114,13 +149,13 @@ void LzCompressImpl(const Slice& input, int chain_depth, std::string* output) {
       for (size_t i = pos; i < end && i <= last_match_pos; i += step) {
         const uint32_t hh = HashPos(base + i);
         if (chain_depth > 0) prev[i] = head[hh];
-        head[hh] = static_cast<uint32_t>(i + 1);
+        head[hh] = call_base + static_cast<uint32_t>(i + 1);
       }
       pos = end;
       lit_start = pos;
     } else {
       if (chain_depth > 0) prev[pos] = head[h];
-      head[h] = static_cast<uint32_t>(pos + 1);
+      head[h] = call_base + static_cast<uint32_t>(pos + 1);
       ++pos;
     }
   }

@@ -17,8 +17,8 @@ namespace logstore::compress {
 // is preferred over CPU for data shipped to object storage. We implement
 // two from-scratch LZ77 variants on the same axis:
 //   kLzFast  - greedy single-probe matcher, speed-oriented (LZ4 stand-in)
-//   kLzRatio - hash-chain matcher with lazy evaluation, ratio-oriented
-//              (ZSTD stand-in; the default)
+//   kLzRatio - greedy hash-chain matcher that takes the longest of up to
+//              32 candidates, ratio-oriented (ZSTD stand-in; the default)
 enum class CodecType : uint8_t {
   kNone = 0,
   kLzFast = 1,
@@ -41,7 +41,8 @@ class Codec {
 };
 
 // Returns the process-wide codec instance for `type`, or nullptr for an
-// unknown type. Instances are stateless and thread-safe.
+// unknown type. Instances are stateless and thread-safe; the LZ compressors
+// keep their match tables per thread.
 const Codec* GetCodec(CodecType type);
 
 // --- Batch column decoders ---

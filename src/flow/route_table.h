@@ -5,8 +5,6 @@
 #include <map>
 #include <string>
 
-#include "common/random.h"
-
 namespace logstore::flow {
 
 // The tenant routing table pushed from the controller to the brokers
@@ -28,14 +26,15 @@ class RouteTable {
     return it == rules_.end() ? nullptr : &it->second;
   }
 
-  // Weighted random shard choice for one write batch of `tenant`.
-  // Returns false if the tenant has no route.
-  bool PickShard(uint64_t tenant, Random* rng, uint32_t* shard) const {
+  // Weighted random shard choice for one write batch of `tenant`, given
+  // the write's uniform draw in [0, 1). Returns false if the tenant has no
+  // route.
+  bool PickShard(uint64_t tenant, double uniform, uint32_t* shard) const {
     const ShardWeights* weights = Get(tenant);
     if (weights == nullptr || weights->empty()) return false;
     double total = 0;
     for (const auto& [_, w] : *weights) total += w;
-    double r = rng->NextDouble() * total;
+    double r = uniform * total;
     for (const auto& [s, w] : *weights) {
       r -= w;
       if (r <= 0) {

@@ -1,9 +1,9 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/coding.h"
+#include "common/hash.h"
 
 namespace logstore::index {
 
@@ -11,9 +11,8 @@ std::vector<std::string> Tokenize(const Slice& text) {
   std::vector<std::string> tokens;
   std::string current;
   for (size_t i = 0; i < text.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(text[i]);
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+    if (IsTokenChar(text[i])) {
+      current.push_back(ToLowerAscii(text[i]));
     } else if (!current.empty()) {
       tokens.push_back(std::move(current));
       current.clear();
@@ -23,31 +22,82 @@ std::vector<std::string> Tokenize(const Slice& text) {
   return tokens;
 }
 
-void InvertedIndexWriter::Add(uint32_t row, const Slice& value) {
-  auto append_unique = [row](std::vector<uint32_t>& rows) {
-    if (rows.empty() || rows.back() != row) rows.push_back(row);
-  };
-  if (index_exact_) append_unique(postings_[ExactTerm(value)]);
-  if (index_tokens_) {
-    for (const std::string& token : Tokenize(value)) {
-      if (!IsIndexableToken(token)) continue;
-      append_unique(postings_[token]);
+void InvertedIndexWriter::Post(std::string_view term, uint32_t row) {
+  if (2 * (terms_.size() + 1) > slots_.size()) Grow();
+  const uint64_t hash = Hash64(term);
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    Term& known = terms_[slots_[i] - 1];
+    if (known.hash == hash && TermBytes(known) == term) {
+      if (known.rows.back() != row) known.rows.push_back(row);
+      return;
     }
+  }
+  slots_[i] = static_cast<uint32_t>(terms_.size() + 1);
+  terms_.push_back({hash, term_bytes_.size(), term.size(), {row}});
+  term_bytes_.append(term);
+}
+
+void InvertedIndexWriter::Grow() {
+  slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t id = 0; id < terms_.size(); ++id) {
+    size_t i = terms_[id].hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(id + 1);
+  }
+}
+
+void InvertedIndexWriter::Add(uint32_t row, const Slice& value) {
+  if (index_exact_) {
+    term_.assign(1, '=');
+    term_.append(value.data(), value.size());
+    Post(term_, row);
+  }
+  if (!index_tokens_) return;
+  // Each token is lowered into term_ in place; the tokens of one value
+  // are never longer than the value.
+  if (term_.size() < value.size()) term_.resize(value.size());
+  char* const out = term_.data();
+  const char* p = value.data();
+  const char* const end = p + value.size();
+  while (p < end) {
+    if (!IsTokenChar(*p)) {
+      ++p;
+      continue;
+    }
+    size_t len = 0;
+    bool has_digit = false;
+    do {
+      const char c = ToLowerAscii(*p++);
+      has_digit |= c <= '9';  // digits sort below every lowered letter
+      out[len++] = c;
+    } while (p < end && IsTokenChar(*p));
+    // IsIndexableToken, without searching the token again for a digit.
+    if (len < 8 || !has_digit) Post(std::string_view(out, len), row);
   }
 }
 
 SerializedInvertedIndex InvertedIndexWriter::Finish() {
+  std::vector<const Term*> sorted;
+  sorted.reserve(terms_.size());
+  for (const Term& term : terms_) sorted.push_back(&term);
+  std::sort(sorted.begin(), sorted.end(), [this](const Term* a, const Term* b) {
+    return TermBytes(*a) < TermBytes(*b);
+  });
+
   SerializedInvertedIndex out;
 
   // Postings first: per term, delta-varint row ids; record ranges.
   std::vector<PostingsRef> refs;
-  refs.reserve(postings_.size());
-  for (const auto& [term, rows] : postings_) {
+  refs.reserve(sorted.size());
+  for (const Term* term : sorted) {
     PostingsRef ref;
-    ref.doc_count = static_cast<uint32_t>(rows.size());
+    ref.doc_count = static_cast<uint32_t>(term->rows.size());
     ref.offset = out.postings.size();
     uint32_t prev = 0;
-    for (uint32_t row : rows) {
+    for (uint32_t row : term->rows) {
       PutVarint32(&out.postings, row - prev);
       prev = row;
     }
@@ -57,24 +107,23 @@ SerializedInvertedIndex InvertedIndexWriter::Finish() {
 
   // Dictionary: sorted terms with their postings ranges, then a fixed32
   // per-term offset directory for binary search.
-  PutVarint32(&out.dict, static_cast<uint32_t>(postings_.size()));
+  PutVarint32(&out.dict, static_cast<uint32_t>(sorted.size()));
   std::vector<uint32_t> offsets;
-  offsets.reserve(postings_.size());
-  size_t i = 0;
-  for (const auto& [term, rows] : postings_) {
-    (void)rows;
+  offsets.reserve(sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
     offsets.push_back(static_cast<uint32_t>(out.dict.size()));
-    PutLengthPrefixedSlice(&out.dict, term);
+    PutLengthPrefixedSlice(&out.dict, TermBytes(*sorted[i]));
     PutVarint32(&out.dict, refs[i].doc_count);
     PutVarint64(&out.dict, refs[i].offset);
     PutVarint32(&out.dict, refs[i].length);
-    ++i;
   }
   const uint32_t dir_offset = static_cast<uint32_t>(out.dict.size());
   for (uint32_t off : offsets) PutFixed32(&out.dict, off);
   PutFixed32(&out.dict, dir_offset);
 
-  postings_.clear();
+  slots_.clear();
+  terms_.clear();
+  term_bytes_.clear();
   return out;
 }
 
@@ -141,8 +190,7 @@ std::optional<PostingsRef> InvertedIndexDict::Lookup(const Slice& term) const {
 std::optional<PostingsRef> InvertedIndexDict::LookupToken(
     const Slice& token) const {
   std::string lowered(token.data(), token.size());
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
+  for (char& c : lowered) c = ToLowerAscii(c);
   return Lookup(lowered);
 }
 

@@ -2,9 +2,9 @@
 #define LOGSTORE_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -13,6 +13,22 @@
 #include "index/rowid_set.h"
 
 namespace logstore::index {
+
+// A token character is an ASCII letter or digit, [A-Za-z0-9]; every other
+// byte, including each byte >= 0x80, separates tokens. (This is what
+// std::isalnum accepts in the C locale, without the locale lookup.) The
+// index writer, Tokenize, the dict's token lookup and the MATCH scan
+// kernel all use these two helpers, so they agree on every byte.
+inline bool IsTokenChar(char c) {
+  const unsigned u = static_cast<unsigned char>(c);
+  return u - '0' < 10u || (u | 0x20u) - 'a' < 26u;
+}
+
+// Lower-cases an ASCII letter and returns every other byte unchanged.
+inline char ToLowerAscii(char c) {
+  const unsigned u = static_cast<unsigned char>(c);
+  return u - 'A' < 26u ? static_cast<char>(u | 0x20u) : c;
+}
 
 // Tokenizes `text` into lower-cased alphanumeric terms (runs of [a-z0-9]).
 // This is the analyzer used for full-text MATCH queries on log bodies.
@@ -57,13 +73,14 @@ class InvertedIndexWriter {
                                bool index_tokens = true)
       : index_exact_(index_exact), index_tokens_(index_tokens) {}
 
-  // Indexes the exact value and/or its tokens for `row`.
+  // Indexes the exact value and/or its tokens for `row`. Rows are added in
+  // ascending order; a term repeated within one row is posted once.
   void Add(uint32_t row, const Slice& value);
 
-  // Serializes the index; the writer is left empty.
+  // Serializes the index, terms in byte order; the writer is left empty.
   SerializedInvertedIndex Finish();
 
-  size_t term_count() const { return postings_.size(); }
+  size_t term_count() const { return terms_.size(); }
 
   // Reserved prefix for exact-value terms. '=' cannot appear in analyzed
   // tokens so exact and token namespaces never collide.
@@ -72,9 +89,33 @@ class InvertedIndexWriter {
   }
 
  private:
+  // One distinct term: its bytes in term_bytes_ and the rows it occurs in.
+  struct Term {
+    uint64_t hash;
+    size_t offset;
+    size_t size;
+    std::vector<uint32_t> rows;
+  };
+
+  std::string_view TermBytes(const Term& term) const {
+    return std::string_view(term_bytes_).substr(term.offset, term.size);
+  }
+
+  // Appends `row` to `term`'s postings unless it is already the last one,
+  // adding the term the first time it is seen.
+  void Post(std::string_view term, uint32_t row);
+  // Doubles slots_ and re-slots every term.
+  void Grow();
+
   const bool index_exact_;
   const bool index_tokens_;
-  std::map<std::string, std::vector<uint32_t>> postings_;
+  // The term hash map: open addressing with linear probing, each slot 0
+  // (empty) or 1 + an index into terms_, grown before it is half full.
+  // terms_ stays in first-seen order until Finish sorts it once.
+  std::vector<uint32_t> slots_;
+  std::vector<Term> terms_;
+  std::string term_bytes_;  // every distinct term, back to back
+  std::string term_;        // scratch for the term being posted
 };
 
 // Byte range of one term's postings within the postings member.

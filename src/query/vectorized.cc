@@ -1,7 +1,8 @@
 #include "query/vectorized.h"
 
 #include <algorithm>
-#include <cctype>
+
+#include "index/inverted_index.h"
 
 namespace logstore::query::vectorized {
 
@@ -28,14 +29,10 @@ uint32_t FillBitmap(uint32_t n, uint64_t* words, Pred pred) {
   return hits;
 }
 
-inline bool IsTokenChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
-
 // True iff every entry of `tokens` equals one of `value`'s tokens. A value
-// token is a maximal IsTokenChar run compared lower-cased, exactly as
-// index::Tokenize builds it, so a query token that is empty, upper-case or
-// not alphanumeric never matches. `found` is scratch space of tokens.size()
+// token is a maximal index::IsTokenChar run compared lower-cased, exactly
+// as index::Tokenize builds it, so a query token that is empty, upper-case
+// or not alphanumeric never matches. `found` is scratch space of tokens.size()
 // flags.
 bool ContainsAllTokens(std::string_view value,
                        const std::vector<std::string>& tokens, char* found) {
@@ -45,18 +42,16 @@ bool ContainsAllTokens(std::string_view value,
   const size_t n = value.size();
   size_t i = 0;
   while (i < n) {
-    while (i < n && !IsTokenChar(value[i])) ++i;
+    while (i < n && !index::IsTokenChar(value[i])) ++i;
     const size_t start = i;
-    while (i < n && IsTokenChar(value[i])) ++i;
+    while (i < n && index::IsTokenChar(value[i])) ++i;
     const size_t len = i - start;
     if (len == 0) break;
     for (size_t t = 0; t < tokens.size(); ++t) {
       const std::string& token = tokens[t];
       if (found[t] || token.size() != len) continue;
       size_t k = 0;
-      while (k < len &&
-             std::tolower(static_cast<unsigned char>(value[start + k])) ==
-                 static_cast<unsigned char>(token[k])) {
+      while (k < len && index::ToLowerAscii(value[start + k]) == token[k]) {
         ++k;
       }
       if (k == len) {

@@ -32,7 +32,7 @@ uint32_t FilterStringEq(const std::string_view* values, uint32_t n,
 // Full-text MATCH fallback scan: a row is selected iff every query token
 // (pre-tokenized ONCE by the caller, never per row) appears among the
 // row value's tokens as index::Tokenize defines them: maximal
-// std::isalnum runs, lower-cased. The value is scanned in place — no
+// index::IsTokenChar runs, lower-cased. The value is scanned in place — no
 // token is materialized — and the scan stops once every query token is
 // found. Duplicate query tokens are allowed, and an empty token list
 // selects every row, as the inverted-index probe

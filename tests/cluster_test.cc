@@ -408,6 +408,68 @@ TEST_F(ClusterTest, ExpirationRemovesObjects) {
   EXPECT_TRUE(result->rows.empty());
 }
 
+// Each write draws once from the broker's Random(12345) and picks its
+// shard from the controller's routing table with that draw. Replaying the
+// same Random over a copy of the table therefore predicts the shard of
+// every write of a single-threaded sequence, including a tenant the
+// balancer spread over several shards.
+TEST(ClusterRoutingTest, SeededWritesLandOnTheReplayedShards) {
+  metrics::MetricRegistry registry;
+  objectstore::MemoryObjectStore store;
+  ClusterDeploymentOptions options;
+  options.num_workers = 2;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.worker.replicated = false;
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  options.controller.shard_capacity = 1000;
+  options.controller.worker_capacity = 4000;
+  options.controller.edge_max_flow = 800;
+  options.registry = &registry;
+  auto opened = Cluster::Open(&store, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Cluster& cluster = **opened;
+
+  // Tenant 0 floods its shard; tenants 1-5 write once each.
+  workload::LogGenerator gen(5);
+  uint64_t draws = 0;
+  for (int i = 0; i < 30; ++i, ++draws) {
+    ASSERT_TRUE(cluster.Write(0, gen.Generate(0, 100, i, i + 1)).ok());
+  }
+  for (uint64_t tenant = 1; tenant <= 5; ++tenant, ++draws) {
+    ASSERT_TRUE(cluster.Write(tenant, OneRow(tenant, 1, "warm")).ok());
+  }
+  ASSERT_TRUE(cluster.RunTrafficControl().rebalanced);
+  const flow::RouteTable routes = cluster.controller()->routes();
+  ASSERT_GE(routes.Get(0)->size(), 2u);
+
+  const uint32_t num_shards = cluster.controller()->num_shards();
+  auto routed_rows = [&] {
+    std::vector<uint64_t> rows;
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      const std::string shard = std::to_string(s);
+      rows.push_back(
+          registry.Counter("cluster.rows_routed", {{"shard", shard}})->load());
+    }
+    return rows;
+  };
+  std::vector<uint64_t> expected = routed_rows();
+  Random replay(12345);
+  for (uint64_t i = 0; i < draws; ++i) replay.NextDouble();
+  Random sizes(77);
+  for (int i = 0; i < 300; ++i) {
+    const uint64_t tenant = i % 2 == 0 ? 0 : 1 + i % 5;
+    const uint32_t rows = 1 + static_cast<uint32_t>(sizes.Uniform(20));
+    ASSERT_TRUE(
+        cluster.Write(tenant, gen.Generate(tenant, rows, i, i + 1)).ok());
+    uint32_t shard = 0;
+    ASSERT_TRUE(routes.PickShard(tenant, replay.NextDouble(), &shard));
+    expected[shard] += rows;
+  }
+  EXPECT_EQ(routed_rows(), expected);
+}
+
 TEST_F(ClusterTest, TrafficControlCycleRuns) {
   workload::LogGenerator gen(5);
   for (int i = 0; i < 20; ++i) {

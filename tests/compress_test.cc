@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -291,6 +294,180 @@ Status ReferenceLzDecompress(const Slice& input, std::string* output) {
   }
   if (produced() != expected_size) return Status::Corruption("size");
   return Status::OK();
+}
+
+// Test-only reference compressor: the LZ compressor as it was when every
+// call allocated and zeroed its own match tables and compared match bytes
+// one at a time. `chain_depth` 0 is kLzFast, 32 is kLzRatio. The codecs
+// must emit exactly its bytes.
+void ReferenceLzCompress(const Slice& input, int chain_depth,
+                         std::string* output) {
+  constexpr size_t kMinMatch = 4;
+  constexpr size_t kMaxOffset = 1u << 16;
+  constexpr size_t kHashSize = 1u << 15;
+  auto read32 = [](const char* p) {
+    uint32_t v;
+    memcpy(&v, p, sizeof(v));
+    return v;
+  };
+  auto hash = [&](const char* p) { return (read32(p) * 2654435761u) >> 17; };
+  auto emit_literals = [&](size_t from, size_t to) {
+    PutVarint32(output, static_cast<uint32_t>(to - from));
+    output->append(input.data() + from, to - from);
+  };
+  const char* base = input.data();
+  const size_t n = input.size();
+  PutVarint64(output, n);
+  if (n < kMinMatch + 1) {
+    emit_literals(0, n);
+    PutVarint32(output, 0);
+    return;
+  }
+  std::vector<uint32_t> head(kHashSize, 0);  // position + 1; 0 = empty
+  std::vector<uint32_t> prev;
+  if (chain_depth > 0) prev.assign(n, 0);
+  size_t pos = 0;
+  size_t lit_start = 0;
+  const size_t last_match_pos = n - kMinMatch;
+  while (pos <= last_match_pos) {
+    const uint32_t h = hash(base + pos);
+    size_t best_len = 0;
+    size_t best_off = 0;
+    uint32_t cand = head[h];
+    int probes = chain_depth > 0 ? chain_depth : 1;
+    while (cand != 0 && probes-- > 0) {
+      const size_t cpos = cand - 1;
+      if (pos - cpos > kMaxOffset) break;
+      if (read32(base + cpos) == read32(base + pos)) {
+        size_t len = kMinMatch;
+        while (pos + len < n && base[pos + len] == base[cpos + len]) ++len;
+        if (len > best_len) {
+          best_len = len;
+          best_off = pos - cpos;
+        }
+      }
+      if (chain_depth == 0) break;
+      cand = prev[cpos];
+    }
+    if (best_len >= kMinMatch) {
+      emit_literals(lit_start, pos);
+      PutVarint32(output, static_cast<uint32_t>(best_off));
+      PutVarint32(output, static_cast<uint32_t>(best_len - kMinMatch));
+      const size_t end = pos + best_len;
+      const size_t step = chain_depth > 0 ? 1 : 2;
+      for (size_t i = pos; i < end && i <= last_match_pos; i += step) {
+        const uint32_t hh = hash(base + i);
+        if (chain_depth > 0) prev[i] = head[hh];
+        head[hh] = static_cast<uint32_t>(i + 1);
+      }
+      pos = end;
+      lit_start = pos;
+    } else {
+      if (chain_depth > 0) prev[pos] = head[h];
+      head[h] = static_cast<uint32_t>(pos + 1);
+      ++pos;
+    }
+  }
+  emit_literals(lit_start, n);
+  PutVarint32(output, 0);
+}
+
+int ReferenceChainDepth(CodecType type) {
+  return type == CodecType::kLzRatio ? 32 : 0;
+}
+
+// Inputs for the compressor checks: log-like text, random bytes, long runs,
+// the uncompressed value stream of every column of generated rows, and
+// inputs around the minimum match length.
+std::vector<std::string> CompressorCorpus() {
+  std::vector<std::string> corpus = {
+      MakeLogLikePayload(1500, 42), MakeRandomPayload(40 * 1024, 99),
+      std::string(9000, 'a'), "", "abcd", "abcde", "abcdabcdabcd"};
+  std::string abc;
+  for (int i = 0; i < 1000; ++i) abc += "abcabcabc";
+  corpus.push_back(std::move(abc));
+  workload::LogGenerator gen(17);
+  const logblock::RowBatch rows = gen.Generate(2, 1500, 0, 3'600'000'000);
+  for (size_t c = 0; c < rows.schema().num_columns(); ++c) {
+    std::string values;
+    for (uint32_t r = 0; r < rows.num_rows(); ++r) {
+      if (rows.schema().column(c).type == logblock::ColumnType::kInt64) {
+        PutVarsint64(&values, rows.Int64At(c, r));
+      } else {
+        PutLengthPrefixedSlice(&values, rows.StringAt(c, r));
+      }
+    }
+    corpus.push_back(std::move(values));
+  }
+  return corpus;
+}
+
+// One compressor input: a prefix of a corpus entry, with the reference
+// output for one codec.
+struct CompressCase {
+  CodecType type;
+  Slice input;
+  std::string want;
+};
+
+// Each corpus entry whole and cut to random lengths, for both LZ codecs,
+// shuffled so that large and small inputs alternate.
+std::vector<CompressCase> CompressCases(const std::vector<std::string>& corpus,
+                                        int cuts_per_entry) {
+  std::vector<CompressCase> cases;
+  Random rng(321);
+  for (const std::string& text : corpus) {
+    for (int k = 0; k <= cuts_per_entry; ++k) {
+      const size_t n = k == 0 ? text.size() : rng.Uniform(text.size() + 1);
+      for (CodecType type : {CodecType::kLzFast, CodecType::kLzRatio}) {
+        CompressCase c{type, Slice(text.data(), n), ""};
+        ReferenceLzCompress(c.input, ReferenceChainDepth(type), &c.want);
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  for (size_t i = cases.size(); i > 1; --i) {
+    std::swap(cases[i - 1], cases[rng.Uniform(i)]);
+  }
+  return cases;
+}
+
+// Both codecs emit the reference's bytes, call after call on one thread,
+// so match-table entries left by earlier (larger or smaller) calls never
+// change a later call's output.
+TEST(CodecTest, CompressMatchesReferenceCompressor) {
+  const std::vector<std::string> corpus = CompressorCorpus();
+  for (const CompressCase& c : CompressCases(corpus, 5)) {
+    std::string got = "prefix";  // Compress appends
+    ASSERT_TRUE(GetCodec(c.type)->Compress(c.input, &got).ok());
+    ASSERT_EQ(got, "prefix" + c.want)
+        << GetCodec(c.type)->name() << " n=" << c.input.size();
+  }
+}
+
+// Several threads compress the corpus at once, each in its own order, and
+// every output equals the reference's: the per-thread match tables never
+// leak between threads or between calls.
+TEST(CodecTest, ConcurrentCompressionMatchesReference) {
+  const std::vector<std::string> corpus = CompressorCorpus();
+  const std::vector<CompressCase> cases = CompressCases(corpus, 2);
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(100 + t);
+      for (size_t k = 0; k < 2 * cases.size(); ++k) {
+        const CompressCase& c = cases[rng.Uniform(cases.size())];
+        std::string got;
+        if (!GetCodec(c.type)->Compress(c.input, &got).ok() || got != c.want) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // The compressed payloads of every column block of LogBlocks built from

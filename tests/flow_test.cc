@@ -111,7 +111,7 @@ TEST(RouteTableTest, PickShardFollowsWeights) {
   int counts[2] = {0, 0};
   for (int i = 0; i < 10000; ++i) {
     uint32_t shard;
-    ASSERT_TRUE(table.PickShard(1, &rng, &shard));
+    ASSERT_TRUE(table.PickShard(1, rng.NextDouble(), &shard));
     counts[shard]++;
   }
   EXPECT_NEAR(counts[0] / 10000.0, 0.8, 0.05);
@@ -120,9 +120,8 @@ TEST(RouteTableTest, PickShardFollowsWeights) {
 
 TEST(RouteTableTest, MissingTenantFails) {
   RouteTable table;
-  Random rng(1);
   uint32_t shard;
-  EXPECT_FALSE(table.PickShard(9, &rng, &shard));
+  EXPECT_FALSE(table.PickShard(9, 0.5, &shard));
 }
 
 TEST(RouteTableTest, RouteCountAndMerge) {

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "index/bkd_tree.h"
 #include "index/inverted_index.h"
 #include "index/rowid_set.h"
 #include "index/sma.h"
+#include "workload/loggen.h"
 
 namespace logstore::index {
 namespace {
@@ -144,6 +148,23 @@ TEST(TokenizeTest, SplitsOnNonAlnumAndLowercases) {
             (std::vector<std::string>{"get", "api", "v1", "id", "42", "http"}));
   EXPECT_TRUE(Tokenize("").empty());
   EXPECT_TRUE(Tokenize("...!!!").empty());
+  // Every byte >= 0x80 separates tokens and is never lowered into one;
+  // only ASCII letters change case.
+  EXPECT_EQ(
+      Tokenize("Caf\xc3\xa9 MiXeD\xff" "CASE v2\x80X9 \xc3\x89T\xc3\x89"),
+      (std::vector<std::string>{"caf", "mixed", "case", "v2", "x9", "t"}));
+  EXPECT_TRUE(Tokenize("\x80\xc3\xa9\xff").empty());
+}
+
+// The token class and its lowering are the C locale's std::isalnum and
+// std::tolower, byte for byte (nothing in the program calls setlocale).
+TEST(TokenizeTest, TokenCharsAreTheCLocaleAlnums) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(IsTokenChar(c), std::isalnum(b) != 0) << "byte " << b;
+    EXPECT_EQ(static_cast<unsigned char>(ToLowerAscii(c)), std::tolower(b))
+        << "byte " << b;
+  }
 }
 
 TEST(InvertedIndexTest, ExactLookup) {
@@ -289,6 +310,135 @@ TEST(InvertedIndexTest, LargeTermSpace) {
     const auto rows = reader->LookupToken("w" + std::to_string(word), 2000);
     std::vector<uint32_t> want(expected[word].begin(), expected[word].end());
     EXPECT_EQ(rows.ToVector(), want) << "word " << word;
+  }
+}
+
+// Test-only reference for InvertedIndexWriter: the writer as it was when
+// it kept its terms in a std::map and tokenized each value into strings
+// with the C locale's std::isalnum and std::tolower.
+class ReferenceInvertedIndexWriter {
+ public:
+  ReferenceInvertedIndexWriter(bool index_exact, bool index_tokens)
+      : index_exact_(index_exact), index_tokens_(index_tokens) {}
+
+  void Add(uint32_t row, const Slice& value) {
+    auto append_unique = [row](std::vector<uint32_t>& rows) {
+      if (rows.empty() || rows.back() != row) rows.push_back(row);
+    };
+    if (index_exact_) append_unique(postings_["=" + value.ToString()]);
+    if (!index_tokens_) return;
+    std::vector<std::string> tokens;
+    std::string current;
+    for (size_t i = 0; i < value.size(); ++i) {
+      const unsigned char c = static_cast<unsigned char>(value[i]);
+      if (std::isalnum(c)) {
+        current.push_back(static_cast<char>(std::tolower(c)));
+      } else if (!current.empty()) {
+        tokens.push_back(std::move(current));
+        current.clear();
+      }
+    }
+    if (!current.empty()) tokens.push_back(std::move(current));
+    for (const std::string& token : tokens) {
+      if (token.size() >= 8 &&
+          token.find_first_of("0123456789") != std::string::npos) {
+        continue;
+      }
+      append_unique(postings_[token]);
+    }
+  }
+
+  SerializedInvertedIndex Finish() {
+    SerializedInvertedIndex out;
+    std::vector<PostingsRef> refs;
+    for (const auto& [term, rows] : postings_) {
+      PostingsRef ref;
+      ref.doc_count = static_cast<uint32_t>(rows.size());
+      ref.offset = out.postings.size();
+      uint32_t prev = 0;
+      for (uint32_t row : rows) {
+        PutVarint32(&out.postings, row - prev);
+        prev = row;
+      }
+      ref.length = static_cast<uint32_t>(out.postings.size() - ref.offset);
+      refs.push_back(ref);
+    }
+    PutVarint32(&out.dict, static_cast<uint32_t>(postings_.size()));
+    std::vector<uint32_t> offsets;
+    size_t i = 0;
+    for (const auto& [term, rows] : postings_) {
+      offsets.push_back(static_cast<uint32_t>(out.dict.size()));
+      PutLengthPrefixedSlice(&out.dict, term);
+      PutVarint32(&out.dict, refs[i].doc_count);
+      PutVarint64(&out.dict, refs[i].offset);
+      PutVarint32(&out.dict, refs[i].length);
+      ++i;
+    }
+    const uint32_t dir_offset = static_cast<uint32_t>(out.dict.size());
+    for (uint32_t off : offsets) PutFixed32(&out.dict, off);
+    PutFixed32(&out.dict, dir_offset);
+    return out;
+  }
+
+ private:
+  const bool index_exact_;
+  const bool index_tokens_;
+  std::map<std::string, std::vector<uint32_t>> postings_;
+};
+
+// The writer's bytes equal the reference's for every analyzer, on the
+// generator's columns and on random values: mixed case, digits, bytes
+// >= 0x80, separators, empty values, tokens of 8 or more characters with
+// and without digits, and terms repeated within a row.
+TEST(InvertedIndexTest, WriterMatchesReferenceWriter) {
+  std::vector<std::vector<std::string>> columns;
+  workload::LogGenerator gen(9);
+  for (uint32_t rows : {1u, 325u, 4097u}) {
+    const logblock::RowBatch batch = gen.Generate(rows % 3, rows, 0, 1 << 30);
+    for (const char* name : {"ip", "fail", "log"}) {
+      const int c = batch.schema().FindColumn(name);
+      columns.push_back(batch.StringColumn(c));
+    }
+  }
+  Random rng(2024);
+  const std::string alphabet =
+      "abcxyzABCXYZ0189 -._/:=\t\x80\xc3\xa9\xff";
+  const std::vector<std::string> words = {
+      "longtokenword", "LongTokenWord", "abc12345", "ABC12345", "req",
+      "0a1b2c3d",      "Timeout",       "timeout",  "",         "x"};
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> values(1 + rng.Uniform(300));
+    for (std::string& value : values) {
+      const size_t pieces = rng.Uniform(8);
+      for (size_t k = 0; k < pieces; ++k) {
+        if (rng.OneIn(2)) {
+          value += words[rng.Uniform(words.size())];
+        } else {
+          value.push_back(alphabet[rng.Uniform(alphabet.size())]);
+        }
+      }
+    }
+    columns.push_back(std::move(values));
+  }
+  for (const std::vector<std::string>& values : columns) {
+    for (const auto& [exact, tokens] :
+         {std::pair{true, true}, std::pair{true, false},
+          std::pair{false, true}}) {
+      InvertedIndexWriter writer(exact, tokens);
+      ReferenceInvertedIndexWriter reference(exact, tokens);
+      for (uint32_t row = 0; row < values.size(); ++row) {
+        writer.Add(row, values[row]);
+        reference.Add(row, values[row]);
+      }
+      const SerializedInvertedIndex got = writer.Finish();
+      const SerializedInvertedIndex want = reference.Finish();
+      ASSERT_EQ(got.dict, want.dict) << "exact=" << exact
+                                     << " tokens=" << tokens;
+      ASSERT_EQ(got.postings, want.postings)
+          << "exact=" << exact << " tokens=" << tokens;
+      // Finish leaves the writer empty and reusable.
+      EXPECT_EQ(writer.term_count(), 0u);
+    }
   }
 }
 

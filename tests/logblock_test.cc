@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "logblock/format.h"
 #include "logblock/logblock_map.h"
@@ -12,6 +13,7 @@
 #include "logblock/logblock_writer.h"
 #include "logblock/row_batch.h"
 #include "logblock/schema.h"
+#include "workload/loggen.h"
 
 namespace logstore::logblock {
 namespace {
@@ -158,6 +160,61 @@ TEST(LogBlockWriterTest, MetaDescribesData) {
   EXPECT_GT(meta.columns[0].index_size, 0u);
   EXPECT_EQ(meta.columns[2].index_type, IndexType::kInverted);
   EXPECT_GT(meta.columns[2].index_size, 0u);
+}
+
+TEST(LogBlockWriterTest, BytesArePinned) {
+  // LogBlocks from seeded generator batches and from hand-made values
+  // (upper case, bytes >= 0x80, tokens of 8 or more characters with and
+  // without digits, empty strings), with both LZ codecs and two column
+  // block sizes. The digest covers every LogBlock's bytes in build order;
+  // it was computed when the index writer kept its terms in a std::map and
+  // the LZ compressor zeroed fresh match tables on every call, so any
+  // change to the bytes the builder writes fails here.
+  std::vector<RowBatch> batches;
+  workload::LogGenerator gen(2021);
+  for (uint32_t rows : {1u, 7u, 325u, 4097u, 9500u}) {
+    batches.push_back(gen.Generate(rows % 5, rows, 0, 3'600'000'000));
+  }
+  const std::vector<std::string> ips = {
+      "10.0.0.1", "", "Host-ABC.Example", "\xc3\xa9t\xc3\xa9", "10.0.0.1"};
+  const std::vector<std::string> fails = {"true", "FALSE", "", "\xff"};
+  const std::vector<std::string> logs = {
+      "GET /Api/V1/Instances HTTP/1.1",
+      "",
+      "Caf\xc3\xa9 na\xc3\xafve \xff\xfe r\xe9sum\xe9 \x80\x81",
+      "request_id=ABCDEF0123456789 trace 0xDEADBEEF span 12345678",
+      "Connection TIMEOUT after 1500ms; retrying ConnectionTimeout",
+      "verylongtokenwithoutdigits ANOTHERLONGTOKEN abc12345 abcdefg1",
+      "MiXeD-CaSe_tokens.and.dots \t ALLCAPS a Z 0",
+      "GET /Api/V1/Instances HTTP/1.1",
+  };
+  RowBatch hand(RequestLogSchema());
+  for (uint32_t i = 0; i < 61; ++i) {
+    hand.AddRow({
+        Value::Int64(i % 3),
+        Value::Int64(1'000'000 + i * 7),
+        Value::String(ips[(i * 3) % ips.size()]),
+        Value::Int64(static_cast<int64_t>((i * 37) % 500)),
+        Value::String(fails[i % fails.size()]),
+        Value::String(logs[(i * 5) % logs.size()]),
+    });
+  }
+  batches.push_back(std::move(hand));
+
+  uint32_t digest = 0;
+  for (compress::CodecType codec :
+       {compress::CodecType::kLzFast, compress::CodecType::kLzRatio}) {
+    for (uint32_t rows_per_block : {LogBlockWriterOptions{}.rows_per_block,
+                                    uint32_t{128}}) {
+      for (const RowBatch& batch : batches) {
+        auto built = BuildLogBlock(
+            batch, 7, {.codec = codec, .rows_per_block = rows_per_block});
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        digest = crc32c::Extend(digest, built->data.data(), built->data.size());
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xb4e59d2du);
 }
 
 TEST(LogBlockReaderTest, OpenAndReadBack) {
