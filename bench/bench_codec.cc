@@ -3,6 +3,8 @@
 // the right trade when data ships to (and is billed by) object storage.
 // BM_DecompressColumn decodes real column-block payloads, the bytes the
 // query path decompresses, beside the synthetic payload of BM_Decompress.
+// BM_Crc32c times both CRC-32C implementations on a buffer the size of a
+// large `log` column block; the read path verifies every block it decodes.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "compress/codec.h"
 #include "logblock/logblock_reader.h"
@@ -128,6 +131,25 @@ void BM_DecompressColumn(benchmark::State& state, const char* column) {
                             static_cast<double>(compressed_bytes);
 }
 
+// Bytes/s over 108 KB of random bytes. The hardware case reports an error
+// instead of a time on a CPU without the crc32 instruction.
+void BM_Crc32c(benchmark::State& state, bool hardware) {
+  if (hardware && !logstore::crc32c::HasHardware()) {
+    state.SkipWithError("no SSE4.2 crc32 instruction on this CPU");
+    return;
+  }
+  const auto extend = hardware ? logstore::crc32c::ExtendHardware
+                               : logstore::crc32c::ExtendPortable;
+  Random rng(108);
+  std::string buffer(108 * 1024, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extend(0, buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buffer.size()));
+}
+
 BENCHMARK_CAPTURE(BM_Compress, none, CodecType::kNone);
 BENCHMARK_CAPTURE(BM_Compress, lz_fast, CodecType::kLzFast);
 BENCHMARK_CAPTURE(BM_Compress, lz_ratio, CodecType::kLzRatio);
@@ -135,6 +157,8 @@ BENCHMARK_CAPTURE(BM_Decompress, lz_fast, CodecType::kLzFast);
 BENCHMARK_CAPTURE(BM_Decompress, lz_ratio, CodecType::kLzRatio);
 BENCHMARK_CAPTURE(BM_DecompressColumn, log, "log");
 BENCHMARK_CAPTURE(BM_DecompressColumn, ip, "ip");
+BENCHMARK_CAPTURE(BM_Crc32c, hardware, true);
+BENCHMARK_CAPTURE(BM_Crc32c, portable, false);
 
 }  // namespace
 

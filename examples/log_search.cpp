@@ -5,6 +5,7 @@
 //
 //   ./examples/log_search
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/logstore.h"
@@ -44,8 +45,8 @@ int main() {
               result.status().ToString().c_str());
       return logstore::query::QueryResult();
     }
-    printf("%-44s %6zu rows in %6.1f ms  (blocks: %u pruned by map, "
-           "%u scanned, %u skipped)\n",
+    printf("%-44s %6zu rows in %6.1f ms  (blocks: %" PRIu64
+           " pruned by map, %" PRIu64 " scanned, %" PRIu64 " skipped)\n",
            label, result->rows.size(), result->stats.elapsed_us / 1000.0,
            result->stats.logblocks_pruned,
            result->stats.exec.column_blocks_scanned,

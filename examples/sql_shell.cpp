@@ -6,6 +6,7 @@
 //   echo "SELECT ip FROM request_log WHERE tenant_id = 1 LIMIT 3" |
 //     ./examples/sql_shell
 
+#include <cinttypes>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -33,8 +34,9 @@ void PrintResult(const logstore::query::QueryResult& result) {
   if (result.rows.size() > shown) {
     printf("... (%zu more rows)\n", result.rows.size() - shown);
   }
-  printf("-- %zu row(s), %.1f ms, %u/%u LogBlocks pruned by map, "
-         "%u column blocks scanned, %u skipped\n",
+  printf("-- %zu row(s), %.1f ms, %" PRIu64 "/%" PRIu64
+         " LogBlocks pruned by map, %" PRIu64
+         " column blocks scanned, %" PRIu64 " skipped\n",
          result.rows.size(), result.stats.elapsed_us / 1000.0,
          result.stats.logblocks_pruned, result.stats.logblocks_total,
          result.stats.exec.column_blocks_scanned,

@@ -7,7 +7,17 @@
 namespace logstore::crc32c {
 
 // Returns the CRC-32C (Castagnoli) of data[0, n-1], extending `init_crc`.
+// Runs ExtendHardware when the CPU has the SSE4.2 crc32 instruction and
+// ExtendPortable otherwise, chosen once per process; both give the same
+// value for every input.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+// The two implementations behind Extend, exposed for tests and benches.
+// ExtendPortable is slice-by-8 and runs on every CPU. ExtendHardware uses
+// the crc32 instruction and may run only where HasHardware() is true.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+bool HasHardware();
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

@@ -180,13 +180,29 @@ constexpr uint64_t kUpfrontRatio = 32;
 // the trim before returning drops whatever it left there.
 constexpr size_t kSlack = 32;
 
-// Varint32 with a one-byte fast path (the common case for literal lengths,
-// offsets under 128 and short matches). The slow path is GetVarint32, so
-// it accepts exactly the encodings GetVarint32 accepts.
+// Varint32 read inline when it is 1-3 bytes long, which covers every
+// offset (the window is 64 KiB) and every literal or match length under
+// 2 MiB. A longer varint, or a multi-byte one within 3 bytes of `limit`,
+// takes GetVarint32. So this accepts exactly the encodings GetVarint32
+// accepts: a 3-byte varint is below 2^21 and always fits.
 inline bool ReadVarint32(const char** ip, const char* limit, uint32_t* v) {
-  if (*ip < limit && (static_cast<uint8_t>(**ip) & 0x80) == 0) {
-    *v = static_cast<uint8_t>(*(*ip)++);
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(*ip);
+  if (*ip < limit && p[0] < 0x80) {
+    *v = p[0];
+    *ip += 1;
     return true;
+  }
+  if (limit - *ip >= 3) {
+    if (p[1] < 0x80) {
+      *v = (p[0] & 0x7fu) | (uint32_t{p[1]} << 7);
+      *ip += 2;
+      return true;
+    }
+    if (p[2] < 0x80) {
+      *v = (p[0] & 0x7fu) | ((p[1] & 0x7fu) << 7) | (uint32_t{p[2]} << 14);
+      *ip += 3;
+      return true;
+    }
   }
   Slice in(*ip, static_cast<size_t>(limit - *ip));
   if (!GetVarint32(&in, v)) return false;

@@ -32,9 +32,16 @@ struct Int64Sma {
   }
 
   // True if no value in [min,max] can satisfy a comparison against the
-  // range [lo,hi]: the block can be skipped.
+  // range [lo,hi]: the block can be skipped. An empty range (lo > hi) is
+  // disjoint from every block.
   bool DisjointWith(int64_t lo, int64_t hi) const {
-    return row_count == 0 || hi < min || lo > max;
+    return row_count == 0 || lo > hi || hi < min || lo > max;
+  }
+
+  // True if every value in [min,max] lies in [lo,hi]: each row this SMA
+  // covers satisfies the comparison.
+  bool Within(int64_t lo, int64_t hi) const {
+    return row_count > 0 && lo <= min && max <= hi;
   }
 
   void EncodeTo(std::string* dst) const {

@@ -245,54 +245,4 @@ Result<DecodedColumnBlock> LogBlockReader::ReadColumnBlock(size_t col,
   return decoded;
 }
 
-Result<size_t> LogBlockReader::BlockIndexForRow(size_t col,
-                                                uint32_t row) const {
-  if (col >= meta_.columns.size()) {
-    return Status::InvalidArgument("column out of range");
-  }
-  const auto& blocks = meta_.columns[col].blocks;
-  // Binary search on first_row.
-  size_t lo = 0, hi = blocks.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (blocks[mid].first_row + blocks[mid].row_count <= row) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == blocks.size() || blocks[lo].first_row > row) {
-    return Status::InvalidArgument("row out of range");
-  }
-  return lo;
-}
-
-Result<std::vector<Value>> LogBlockReader::ReadValuesAt(
-    size_t col, const std::vector<uint32_t>& sorted_rows) {
-  std::vector<Value> out;
-  out.reserve(sorted_rows.size());
-  const bool is_int = meta_.schema.column(col).type == ColumnType::kInt64;
-
-  size_t i = 0;
-  while (i < sorted_rows.size()) {
-    auto block_idx = BlockIndexForRow(col, sorted_rows[i]);
-    if (!block_idx.ok()) return block_idx.status();
-    const ColumnBlockMeta& block_meta = meta_.columns[col].blocks[*block_idx];
-    auto decoded = ReadColumnBlock(col, *block_idx);
-    if (!decoded.ok()) return decoded.status();
-
-    const uint32_t block_end = block_meta.first_row + block_meta.row_count;
-    for (; i < sorted_rows.size() && sorted_rows[i] < block_end; ++i) {
-      const uint32_t offset_in_block = sorted_rows[i] - block_meta.first_row;
-      if (is_int) {
-        out.push_back(Value::Int64(decoded->ints[offset_in_block]));
-      } else {
-        out.push_back(
-            Value::String(std::string(decoded->strs[offset_in_block])));
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace logstore::logblock

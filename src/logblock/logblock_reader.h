@@ -113,14 +113,6 @@ class LogBlockReader {
   // Decodes one column block (bitset + decompression).
   Result<DecodedColumnBlock> ReadColumnBlock(size_t col, size_t block_idx);
 
-  // Fetches the values of `sorted_rows` (ascending global row ids) from
-  // column `col`, touching only the blocks that contain them.
-  Result<std::vector<Value>> ReadValuesAt(size_t col,
-                                          const std::vector<uint32_t>& sorted_rows);
-
-  // Maps a global row id to the block index containing it.
-  Result<size_t> BlockIndexForRow(size_t col, uint32_t row) const;
-
   // Forwards a prefetch hint to the underlying source (§5.2).
   Status Prefetch(const std::vector<ByteRange>& ranges, uint64_t owner = 0) {
     return source_->Prefetch(ranges, owner);

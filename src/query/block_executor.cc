@@ -96,6 +96,20 @@ bool BlockSmaSkips(const logblock::ColumnBlockMeta& block,
   return false;
 }
 
+// True if block SMA proves every row of `block` satisfies `bp`, so a scan
+// would keep all of them: the mirror of BlockSmaSkips. Only an SMA that
+// covers every row of the block can prove it.
+bool BlockSmaCovers(const logblock::ColumnBlockMeta& block,
+                    const BoundPredicate& bp) {
+  if (bp.pred.kind != Predicate::Kind::kInt64Compare ||
+      bp.pred.op == CompareOp::kNe) {
+    return false;
+  }
+  const auto [lo, hi] = bp.pred.Int64Interval();
+  return block.int_sma.row_count == block.row_count &&
+         block.int_sma.Within(lo, hi);
+}
+
 // True if the index of this column can serve the predicate.
 bool IndexServes(const LogBlockReader& reader, const BoundPredicate& bp) {
   const IndexType index_type = reader.meta().columns[bp.col].index_type;
@@ -158,7 +172,8 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
                      index::RowIdSet* candidates, BlockExecStats* stats) {
   const auto& col_meta = reader->meta().columns[bp.col];
 
-  // Plan: find blocks that still hold candidate rows and survive block SMA.
+  // Plan: find blocks that still hold candidate rows and whose block SMA
+  // decides neither none nor all of them.
   // The candidate probe is a word-level bitmap range test, so the whole
   // plan costs one pass over the RowIdSet per column instead of a
   // Contains() probe per row of every block.
@@ -173,6 +188,12 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
     if (options.use_data_skipping && BlockSmaSkips(block, bp)) {
       // Block SMA proves no row in this block matches: drop them all.
       candidates->RemoveRange(block.first_row, block_end);
+      ++stats->column_blocks_skipped;
+      continue;
+    }
+    if (options.use_data_skipping && BlockSmaCovers(block, bp)) {
+      // Block SMA proves every row in this block matches: keep them all
+      // without reading, verifying or decoding the block.
       ++stats->column_blocks_skipped;
       continue;
     }

@@ -36,7 +36,7 @@ struct BlockExecStats {
   bool skipped_by_column_sma = false;
   // 64-bit: large-tenant soaks overflow 32-bit scan/row counters.
   uint64_t column_blocks_scanned = 0;  // decompressed + scanned
-  uint64_t column_blocks_skipped = 0;  // eliminated by block SMA / candidates
+  uint64_t column_blocks_skipped = 0;  // decided by block SMA / candidates
   uint64_t index_probes = 0;
   uint64_t rows_matched = 0;
   // Decoded blocks served from the per-execution cache instead of being
@@ -79,8 +79,8 @@ struct BlockExecResult {
 // Figure 8 pipeline:
 //   2. skip the whole block via column SMA
 //   3. probe per-column indexes (BKD / inverted) into a row-id set
-//   4. for residual predicates, skip column blocks via block SMA, scan the
-//      rest, and intersect
+//   4. for residual predicates, skip column blocks whose block SMA proves
+//      no row or every row matches, scan the rest, and intersect
 //   5. load the projected columns for the surviving row ids — or, for an
 //      aggregate query, fold the surviving rows into a partial AggResult
 //      (no row materialization; `limit` does not cut the scan, and

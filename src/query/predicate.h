@@ -50,14 +50,20 @@ struct Predicate {
     return p;
   }
 
-  // The [lo, hi] interval implied by an int comparison, for SMA skipping.
-  // kNe implies no useful interval (full range).
+  // The [lo, hi] interval implied by an int comparison, for SMA skipping
+  // and index probes. kNe implies no useful interval (full range). No value
+  // is below INT64_MIN or above INT64_MAX, so `< INT64_MIN` and
+  // `> INT64_MAX` give an empty interval (lo > hi).
   std::pair<int64_t, int64_t> Int64Interval() const {
     switch (op) {
       case CompareOp::kEq: return {int_value, int_value};
-      case CompareOp::kLt: return {INT64_MIN, int_value - 1};
+      case CompareOp::kLt:
+        if (int_value == INT64_MIN) return {INT64_MAX, INT64_MIN};
+        return {INT64_MIN, int_value - 1};
       case CompareOp::kLe: return {INT64_MIN, int_value};
-      case CompareOp::kGt: return {int_value + 1, INT64_MAX};
+      case CompareOp::kGt:
+        if (int_value == INT64_MAX) return {INT64_MAX, INT64_MIN};
+        return {int_value + 1, INT64_MAX};
       case CompareOp::kGe: return {int_value, INT64_MAX};
       case CompareOp::kNe: return {INT64_MIN, INT64_MAX};
     }

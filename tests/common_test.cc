@@ -165,13 +165,14 @@ TEST(CodingTest, VarintLengthMatchesEncoding) {
   }
 }
 
-TEST(Crc32cTest, KnownVectors) {
-  // Standard check value: CRC-32C("123456789") = 0xe3069283.
-  EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
-  // The RFC 3720 (iSCSI) §B.4 vectors: 32 bytes of zeros, of ones, and
-  // ascending and descending byte values.
+using CrcFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+// The standard check value and the RFC 3720 (iSCSI) §B.4 vectors: 32
+// bytes of zeros, of ones, and ascending and descending byte values.
+void ExpectKnownVectors(CrcFn extend) {
+  EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u);
   char zeros[32] = {0};
-  EXPECT_EQ(crc32c::Value(zeros, sizeof(zeros)), 0x8a9136aau);
+  EXPECT_EQ(extend(0, zeros, sizeof(zeros)), 0x8a9136aau);
   char ones[32];
   char ascending[32];
   char descending[32];
@@ -180,9 +181,14 @@ TEST(Crc32cTest, KnownVectors) {
     ascending[i] = static_cast<char>(i);
     descending[i] = static_cast<char>(31 - i);
   }
-  EXPECT_EQ(crc32c::Value(ones, sizeof(ones)), 0x62a8ab43u);
-  EXPECT_EQ(crc32c::Value(ascending, sizeof(ascending)), 0x46dd794eu);
-  EXPECT_EQ(crc32c::Value(descending, sizeof(descending)), 0x113fdb5cu);
+  EXPECT_EQ(extend(0, ones, sizeof(ones)), 0x62a8ab43u);
+  EXPECT_EQ(extend(0, ascending, sizeof(ascending)), 0x46dd794eu);
+  EXPECT_EQ(extend(0, descending, sizeof(descending)), 0x113fdb5cu);
+}
+
+TEST(Crc32cTest, KnownVectors) {
+  ExpectKnownVectors(crc32c::Extend);
+  EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
 }
 
 // Test-only reference: the CRC-32C definition, one bit at a time.
@@ -214,6 +220,54 @@ TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
     }
   }
 }
+
+// Each implementation behind crc32c::Extend against the same references;
+// the hardware half is skipped on a CPU without the crc32 instruction.
+class Crc32cPathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam() && !crc32c::HasHardware()) {
+      GTEST_SKIP() << "this CPU has no SSE4.2 crc32 instruction";
+    }
+  }
+  CrcFn extend() const {
+    return GetParam() ? crc32c::ExtendHardware : crc32c::ExtendPortable;
+  }
+};
+
+TEST_P(Crc32cPathTest, KnownVectors) { ExpectKnownVectors(extend()); }
+
+TEST_P(Crc32cPathTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-300 cross every tail length of an 8-byte loop many times
+  // over; offsets 0-15 start it at every alignment of a 16-byte line.
+  Random rng(3720);
+  alignas(16) char buffer[16 + 300];
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const char* data = buffer + offset;
+      ASSERT_EQ(extend()(0, data, n), BitwiseCrc32c(0, data, n))
+          << "offset=" << offset << " n=" << n;
+      const uint32_t init = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(extend()(init, data, n), BitwiseCrc32c(init, data, n))
+          << "offset=" << offset << " n=" << n << " init=" << init;
+    }
+  }
+}
+
+TEST_P(Crc32cPathTest, MatchesBitwiseReferenceOnOneMebibyte) {
+  Random rng(1 << 20);
+  std::string data(1 << 20, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t init = static_cast<uint32_t>(rng.Next());
+  EXPECT_EQ(extend()(init, data.data(), data.size()),
+            BitwiseCrc32c(init, data.data(), data.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, Crc32cPathTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "hardware" : "portable";
+                         });
 
 TEST(Crc32cTest, ExtendComposes) {
   const std::string data = "hello world, this is logstore";

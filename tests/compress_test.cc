@@ -504,6 +504,81 @@ std::vector<std::string> RealColumnBlockPayloads() {
   return payloads;
 }
 
+// Writes `v` as a varint of at least `width` bytes: groups past the value's
+// own are written as zero groups with the continuation bit set, a longer
+// encoding GetVarint32 accepts for the same value.
+void PutPaddedVarint(std::string* dst, uint64_t v, int width) {
+  for (int i = 1; i < width || v >= 0x80; ++i) {
+    dst->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  dst->push_back(static_cast<char>(v));
+}
+
+// Token streams whose varints take every width from 1 to 6 bytes, padded
+// or not, with values of one to three 7-bit groups and now and then a
+// literal length past UINT32_MAX; each stream whole, cut in each of its
+// last 8 bytes (inside a varint near the end of the input) and cut at
+// random points. The decoder's inline 1-3 byte reads must give the
+// reference decoder's verdict and bytes in every case.
+TEST(CodecTest, VarintsOfEveryWidthMatchReferenceDecoder) {
+  Random rng(2021);
+  const Codec* lz = GetCodec(CodecType::kLzRatio);
+  auto width = [&rng](uint64_t v) {
+    const int needed = v < (1u << 7) ? 1 : v < (1u << 14) ? 2 : 3;
+    return std::max(needed, 1 + static_cast<int>(rng.Uniform(6)));
+  };
+  int decoded_ok = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string body;
+    uint64_t produced = 0;
+    const int tokens = 1 + static_cast<int>(rng.Uniform(5));
+    for (int t = 0; t < tokens; ++t) {
+      uint64_t lit_len = rng.Uniform(rng.OneIn(4) ? 300 : 20);
+      if (produced == 0 && lit_len == 0) lit_len = 1;
+      if (rng.OneIn(60)) lit_len = (uint64_t{1} << 32) + rng.Uniform(100);
+      PutPaddedVarint(&body, lit_len, width(lit_len));
+      if (lit_len > UINT32_MAX) break;  // both decoders must reject it
+      body += RandomBytes(lit_len, &rng);
+      produced += lit_len;
+      if (t + 1 == tokens) {
+        PutPaddedVarint(&body, 0, width(0));  // end of stream
+        break;
+      }
+      const uint64_t offset = 1 + rng.Uniform(produced);
+      const uint64_t extra =
+          rng.OneIn(8) ? 16384 + rng.Uniform(4096) : rng.Uniform(200);
+      PutPaddedVarint(&body, offset, width(offset));
+      PutPaddedVarint(&body, extra, width(extra));
+      produced += extra + 4;
+    }
+    std::string stream;
+    PutVarint64(&stream, produced);
+    stream += body;
+
+    std::vector<size_t> cuts = {stream.size()};
+    for (size_t back = 1; back <= 8 && back < stream.size(); ++back) {
+      cuts.push_back(stream.size() - back);
+    }
+    for (int i = 0; i < 4; ++i) cuts.push_back(rng.Uniform(stream.size()));
+    for (size_t cut : cuts) {
+      const std::string input = stream.substr(0, cut);
+      std::string got = "prefix";
+      const Status status = DecompressExactCopy(lz, input, &got);
+      std::string want = "prefix";
+      const Status reference = ReferenceLzDecompress(input, &want);
+      ASSERT_EQ(status.ok(), reference.ok())
+          << "round=" << round << " cut=" << cut << "/" << stream.size()
+          << ": " << status.ToString() << " vs " << reference.ToString();
+      if (status.ok()) {
+        ++decoded_ok;
+        ASSERT_EQ(got, want) << "round=" << round << " cut=" << cut;
+      }
+    }
+  }
+  EXPECT_GT(decoded_ok, 100);
+}
+
 // Hostile-input sweep over real column blocks: truncate, flip bits, splice
 // in bytes from another block, or inflate the size header. Every case must
 // return a Status, and the decoder must agree with the reference: the same

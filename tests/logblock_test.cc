@@ -245,20 +245,6 @@ TEST(LogBlockReaderTest, OpenAndReadBack) {
   }
 }
 
-TEST(LogBlockReaderTest, ReadValuesAtPicksSparseRows) {
-  const RowBatch batch = MakeRequestLogBatch(1000, 9, 0);
-  auto reader = BuildAndOpen(batch, {.rows_per_block = 64});
-  ASSERT_TRUE(reader.ok());
-
-  const std::vector<uint32_t> rows = {0, 1, 63, 64, 500, 999};
-  auto values = (*reader)->ReadValuesAt(5, rows);  // "log" column
-  ASSERT_TRUE(values.ok());
-  ASSERT_EQ(values->size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ((*values)[i].s, batch.StringAt(5, rows[i]));
-  }
-}
-
 TEST(LogBlockReaderTest, BkdIndexAnswersRangeQueries) {
   RowBatch batch(RequestLogSchema());
   for (uint32_t i = 0; i < 300; ++i) {
@@ -315,17 +301,6 @@ TEST(LogBlockReaderTest, InvertedIndexAnswersExactAndTokenQueries) {
   EXPECT_TRUE((*reader)->InvertedDict(1).status().IsNotFound());
   EXPECT_TRUE(
       (*reader)->InvertedLookupExact(3, "x").status().IsNotFound());
-}
-
-TEST(LogBlockReaderTest, BlockIndexForRow) {
-  const RowBatch batch = MakeRequestLogBatch(250, 1, 0);
-  auto reader = BuildAndOpen(batch, {.rows_per_block = 100});
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(*(*reader)->BlockIndexForRow(0, 0), 0u);
-  EXPECT_EQ(*(*reader)->BlockIndexForRow(0, 99), 0u);
-  EXPECT_EQ(*(*reader)->BlockIndexForRow(0, 100), 1u);
-  EXPECT_EQ(*(*reader)->BlockIndexForRow(0, 249), 2u);
-  EXPECT_FALSE((*reader)->BlockIndexForRow(0, 250).ok());
 }
 
 TEST(LogBlockReaderTest, AllCodecsRoundTrip) {
@@ -451,8 +426,6 @@ TEST_P(LogBlockCorruptionFuzzTest, SingleByteFlipsNeverCrash) {
       (void)(*reader)->InvertedLookupExact(c, "192.168.0.1");
       (void)(*reader)->InvertedMatchAllTokens(c, "status ok");
     }
-    std::vector<uint32_t> rows = {0, 1, 50, 149};
-    (void)(*reader)->ReadValuesAt(5, rows);
   }
 }
 
@@ -534,15 +507,23 @@ TEST_P(LogBlockRoundTripTest, FullReconstruction) {
   auto reader = BuildAndOpen(batch, {.rows_per_block = rows_per_block});
   ASSERT_TRUE(reader.ok());
 
-  std::vector<uint32_t> all_rows(batch.num_rows());
-  for (uint32_t i = 0; i < batch.num_rows(); ++i) all_rows[i] = i;
   for (size_t c = 0; c < batch.schema().num_columns(); ++c) {
-    auto values = (*reader)->ReadValuesAt(c, all_rows);
-    ASSERT_TRUE(values.ok());
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      EXPECT_TRUE((*values)[r] == batch.ValueAt(c, r))
-          << "col " << c << " row " << r;
+    const bool is_int = batch.schema().column(c).type == ColumnType::kInt64;
+    uint32_t r = 0;
+    const size_t n_blocks = (*reader)->meta().columns[c].blocks.size();
+    for (size_t b = 0; b < n_blocks; ++b) {
+      auto decoded = (*reader)->ReadColumnBlock(c, b);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_EQ(decoded->first_row, r) << "col " << c << " block " << b;
+      for (uint32_t i = 0; i < decoded->row_count(); ++i, ++r) {
+        const Value value =
+            is_int ? Value::Int64(decoded->ints[i])
+                   : Value::String(std::string(decoded->strs[i]));
+        EXPECT_TRUE(value == batch.ValueAt(c, r))
+            << "col " << c << " row " << r;
+      }
     }
+    EXPECT_EQ(r, batch.num_rows()) << "col " << c;
   }
 }
 

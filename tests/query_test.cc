@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "index/sma.h"
 #include "logblock/logblock_map.h"
 #include "logblock/logblock_reader.h"
 #include "logblock/logblock_writer.h"
@@ -18,6 +19,7 @@
 #include "query/block_executor.h"
 #include "query/engine.h"
 #include "query/predicate.h"
+#include "reference_query.h"
 
 namespace logstore::query {
 namespace {
@@ -62,6 +64,28 @@ TEST(PredicateTest, Int64Intervals) {
             std::make_pair(int64_t{5}, INT64_MAX));
   EXPECT_EQ(Predicate::Int64Compare("x", CompareOp::kLt, 5).Int64Interval(),
             std::make_pair(INT64_MIN, int64_t{4}));
+}
+
+TEST(PredicateTest, ComparisonsPastTheInt64RangeAreEmpty) {
+  // No value is below INT64_MIN or above INT64_MAX: the interval is empty
+  // (lo > hi) instead of wrapping around to the full range.
+  for (const auto& pred :
+       {Predicate::Int64Compare("x", CompareOp::kLt, INT64_MIN),
+        Predicate::Int64Compare("x", CompareOp::kGt, INT64_MAX)}) {
+    const auto [lo, hi] = pred.Int64Interval();
+    EXPECT_GT(lo, hi);
+  }
+  EXPECT_EQ(
+      Predicate::Int64Compare("x", CompareOp::kLe, INT64_MIN).Int64Interval(),
+      std::make_pair(INT64_MIN, INT64_MIN));
+  EXPECT_EQ(
+      Predicate::Int64Compare("x", CompareOp::kGe, INT64_MAX).Int64Interval(),
+      std::make_pair(INT64_MAX, INT64_MAX));
+  index::Int64Sma everything;
+  everything.Update(INT64_MIN);
+  everything.Update(INT64_MAX);
+  EXPECT_TRUE(everything.DisjointWith(INT64_MAX, INT64_MIN));
+  EXPECT_FALSE(everything.Within(INT64_MAX, INT64_MIN));
 }
 
 TEST(PredicateTest, EvalInt64) {
@@ -171,8 +195,8 @@ TEST(BlockExecutorTest, ColumnSmaSkipsWholeBlock) {
 }
 
 TEST(BlockExecutorTest, BlockSmaSkipsUnindexedColumn) {
-  // latency is unindexed; blocks are aligned so that most can be skipped
-  // by block SMA for a tight latency range.
+  // latency is unindexed; blocks are aligned so that block SMA decides
+  // every block of a tight latency range.
   RowBatch batch(logblock::RequestLogSchema());
   for (uint32_t i = 0; i < 1000; ++i) {
     batch.AddRow({Value::Int64(7), Value::Int64(i),
@@ -188,9 +212,124 @@ TEST(BlockExecutorTest, BlockSmaSkipsUnindexedColumn) {
   auto result = ExecuteOnLogBlock(reader.get(), query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 100u);
-  // Only 1 of 10 latency blocks matches the SMA range.
+  // Nine latency blocks lie outside the SMA range; block 5 holds only the
+  // value 5, so every one of its rows matches unread.
+  EXPECT_EQ(result->stats.column_blocks_scanned, 0u);
+  EXPECT_EQ(result->stats.column_blocks_skipped, 10u);
+  for (const auto& row : result->rows) EXPECT_EQ(row[0].i, 5);
+}
+
+TEST(BlockExecutorTest, ComparisonsPastTheInt64RangeMatchNothing) {
+  // tenant_id is BKD-indexed (probed when skipping is on); latency is not
+  // (SMA-checked and scanned). Either way no row can match.
+  const RowBatch batch = MakeBatch(1000);
+  auto reader = OpenBlock(batch, 100);
+  for (const char* column : {"tenant_id", "latency"}) {
+    for (const auto& [op, value] :
+         {std::make_pair(CompareOp::kLt, INT64_MIN),
+          std::make_pair(CompareOp::kGt, INT64_MAX)}) {
+      for (bool skipping : {true, false}) {
+        LogQuery query;
+        query.predicates = {Predicate::Int64Compare(column, op, value)};
+        auto result = ExecuteOnLogBlock(reader.get(), query,
+                                        {.use_data_skipping = skipping});
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->rows.size(), 0u)
+            << column << " op=" << static_cast<int>(op)
+            << " skipping=" << skipping;
+      }
+    }
+  }
+}
+
+// The rows ExecuteOnLogBlock returns for `query`, checked against the
+// reference evaluator over the same batch (ascending row order both).
+void ExpectReferenceRows(const RowBatch& batch,
+                         const BlockExecResult& result, LogQuery query) {
+  query.tenant_id = 7;
+  const reference::Answer expected =
+      reference::Evaluate({{7, batch}}, query);
+  ASSERT_EQ(result.rows.size(), expected.rows.size());
+  for (size_t r = 0; r < expected.rows.size(); ++r) {
+    EXPECT_EQ(result.rows[r], expected.rows[r]) << "row " << r;
+  }
+}
+
+TEST(BlockExecutorTest, BlockSmaInsideTheRangeIsNotScanned) {
+  // ts = i * 1000 over 10 blocks of 100 rows. ts >= 250'000 cuts block 2;
+  // ts <= 799'000 ends on block 7's last row. Every other block's SMA lies
+  // wholly inside or wholly outside the range, so exactly one ts block is
+  // read: the one the range cuts.
+  const RowBatch batch = MakeBatch(1000);
+  auto reader = OpenBlock(batch, 100);
+  LogQuery query;
+  query.ts_min = 250'000;
+  query.ts_max = 799'000;
+  query.select_columns = {"ts", "latency"};
+  auto result = ExecuteOnLogBlock(reader.get(), query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 550u);
+  ExpectReferenceRows(batch, *result, query);
   EXPECT_EQ(result->stats.column_blocks_scanned, 1u);
-  EXPECT_EQ(result->stats.column_blocks_skipped, 9u);
+}
+
+TEST(BlockExecutorTest, RangesEndingOnABlockSmaBound) {
+  // Block 5 holds ts 500'000..599'000. A range ending one below, on or one
+  // past either bound must scan exactly the blocks it cuts (min < ts_min
+  // <= max, or min <= ts_max < max) and return the reference's rows, so
+  // an off-by-one in the inclusive checks shows in the rows or the count.
+  const RowBatch batch = MakeBatch(1000);
+  const uint32_t rows_per_block = 100;
+  auto reader = OpenBlock(batch, rows_per_block);
+  const int64_t block_min = 500'000;
+  const int64_t block_max = 599'000;
+  for (int64_t bound : {block_min - 1, block_min, block_min + 1,
+                        block_max - 1, block_max, block_max + 1}) {
+    for (bool bound_is_min : {true, false}) {
+      LogQuery query;
+      (bound_is_min ? query.ts_min : query.ts_max) = bound;
+      query.select_columns = {"ts"};
+      uint64_t cut = 0;
+      for (uint32_t first = 0; first < 1000; first += rows_per_block) {
+        const int64_t min = batch.Int64At(1, first);
+        const int64_t max = batch.Int64At(1, first + rows_per_block - 1);
+        cut += bound_is_min ? (min < bound && bound <= max)
+                            : (min <= bound && bound < max);
+      }
+      auto result = ExecuteOnLogBlock(reader.get(), query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      SCOPED_TRACE((bound_is_min ? "ts >= " : "ts <= ") +
+                   std::to_string(bound));
+      ExpectReferenceRows(batch, *result, query);
+      EXPECT_EQ(result->stats.column_blocks_scanned, cut);
+    }
+  }
+}
+
+TEST(BlockExecutorTest, GatherPicksSparseRows) {
+  // Rows at both sides of a block boundary (63, 64), the first and last
+  // rows and one in the middle, gathered from 64-row blocks: the
+  // projection must read each from the block that holds it.
+  const std::vector<uint32_t> picked = {0, 1, 63, 64, 500, 999};
+  RowBatch batch(logblock::RequestLogSchema());
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const bool pick = std::count(picked.begin(), picked.end(), i) > 0;
+    batch.AddRow({Value::Int64(7), Value::Int64(i),
+                  Value::String("10.0.0." + std::to_string(i % 5)),
+                  Value::Int64(pick ? 1 : 0), Value::String("false"),
+                  Value::String("line " + std::to_string(i * 7919 % 1000))});
+  }
+  auto reader = OpenBlock(batch, 64);
+  LogQuery query;
+  query.predicates = {Predicate::Int64Compare("latency", CompareOp::kEq, 1)};
+  query.select_columns = {"log", "ts", "ip"};
+  auto result = ExecuteOnLogBlock(reader.get(), query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), picked.size());
+  for (size_t r = 0; r < picked.size(); ++r) {
+    EXPECT_EQ(result->rows[r][1].i, static_cast<int64_t>(picked[r]));
+  }
+  ExpectReferenceRows(batch, *result, query);
 }
 
 TEST(BlockExecutorTest, LimitTruncatesRows) {
