@@ -1,6 +1,7 @@
 #ifndef LOGSTORE_INDEX_ROWID_SET_H_
 #define LOGSTORE_INDEX_ROWID_SET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -152,13 +153,14 @@ class RowIdSet {
     return true;
   }
 
-  // Materializes the set as an ascending row-id list.
-  std::vector<uint32_t> ToVector() const {
+  // Materializes the set, or its first `max_rows` rows, as an ascending
+  // row-id list.
+  std::vector<uint32_t> ToVector(size_t max_rows = SIZE_MAX) const {
     std::vector<uint32_t> rows;
-    rows.reserve(Count());
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
+    rows.reserve(std::min<size_t>(Count(), max_rows));
+    for (size_t wi = 0; wi < words_.size() && rows.size() < max_rows; ++wi) {
       uint64_t w = words_[wi];
-      while (w != 0) {
+      while (w != 0 && rows.size() < max_rows) {
         const int bit = __builtin_ctzll(w);
         rows.push_back(static_cast<uint32_t>(wi * 64 + bit));
         w &= w - 1;

@@ -13,6 +13,39 @@
 
 namespace logstore::query {
 
+// Decoded-column-block cache for the life of ONE block execution, filter
+// and gather: residual predicates on the same column, the aggregation pass,
+// and the gather all reuse a block decoded by an earlier step instead of
+// re-reading and re-decompressing it. Hits are counted in stats
+// (`query.decode_cache_hits`), misses as the bytes they decompress
+// (`query.vectorized.bytes_decoded`); `column_blocks_scanned` keeps its
+// pre-cache semantics (one count per residual scan pass, hit or not), so
+// cached and uncached runs report identical scan stats.
+class DecodedBlockCache {
+ public:
+  explicit DecodedBlockCache(logblock::LogBlockReader* reader)
+      : reader_(reader) {}
+
+  Result<const logblock::DecodedColumnBlock*> Get(size_t col, size_t block_idx,
+                                                  BlockExecStats* stats) {
+    const auto key = std::make_pair(col, block_idx);
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      ++stats->decode_cache_hits;
+      return &it->second;
+    }
+    auto decoded = reader_->ReadColumnBlock(col, block_idx);
+    if (!decoded.ok()) return decoded.status();
+    stats->bytes_decoded += decoded->decompressed_bytes;
+    auto emplaced = cache_.emplace(key, std::move(decoded).value());
+    return &emplaced.first->second;
+  }
+
+ private:
+  logblock::LogBlockReader* reader_;
+  std::map<std::pair<size_t, size_t>, logblock::DecodedColumnBlock> cache_;
+};
+
 namespace {
 
 using logblock::ColumnType;
@@ -26,40 +59,6 @@ struct BoundPredicate {
   Predicate pred;
   size_t col = 0;
   std::vector<std::string> match_tokens;
-};
-
-// Decoded-column-block cache for the life of ONE block execution: residual
-// predicates on the same column, the aggregation pass, and the gather all
-// reuse a block decoded by an earlier step instead of re-reading and
-// re-decompressing it. Hits are counted in stats (`query.decode_cache_hits`),
-// misses as the bytes they decompress (`query.vectorized.bytes_decoded`);
-// `column_blocks_scanned` keeps its pre-cache semantics (one count per
-// residual scan pass, hit or not), so cached and uncached runs report
-// identical scan stats.
-class DecodedBlockCache {
- public:
-  DecodedBlockCache(LogBlockReader* reader, BlockExecStats* stats)
-      : reader_(reader), stats_(stats) {}
-
-  Result<const logblock::DecodedColumnBlock*> Get(size_t col,
-                                                  size_t block_idx) {
-    const auto key = std::make_pair(col, block_idx);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++stats_->decode_cache_hits;
-      return &it->second;
-    }
-    auto decoded = reader_->ReadColumnBlock(col, block_idx);
-    if (!decoded.ok()) return decoded.status();
-    stats_->bytes_decoded += decoded->decompressed_bytes;
-    auto emplaced = cache_.emplace(key, std::move(decoded).value());
-    return &emplaced.first->second;
-  }
-
- private:
-  LogBlockReader* reader_;
-  BlockExecStats* stats_;
-  std::map<std::pair<size_t, size_t>, logblock::DecodedColumnBlock> cache_;
 };
 
 // True if the whole LogBlock can be skipped for `bp` using column SMA.
@@ -213,7 +212,7 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
   std::vector<uint64_t> words;  // reused across blocks
   for (size_t b : to_scan) {
     if (Cancelled(options)) return CancelledStatus();
-    auto decoded = cache->Get(bp.col, b);
+    auto decoded = cache->Get(bp.col, b, stats);
     if (!decoded.ok()) return decoded.status();
     ++stats->column_blocks_scanned;
     const auto& block = col_meta.blocks[b];
@@ -311,7 +310,7 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
   char int_key[24];
   for (size_t b : to_scan) {
     if (Cancelled(options)) return CancelledStatus();
-    auto decoded = cache->Get(col, b);
+    auto decoded = cache->Get(col, b, &result->stats);
     if (!decoded.ok()) return decoded.status();
     const auto& block = blocks[b];
     const logblock::DecodedColumnBlock& vec = **decoded;
@@ -356,9 +355,22 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
 
 }  // namespace
 
-Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
-                                          const LogQuery& query,
-                                          const ExecOptions& options) {
+FilteredBlock::FilteredBlock(LogBlockReader* reader, const LogQuery& query,
+                             const ExecOptions& options)
+    : reader_(reader),
+      query_(&query),
+      options_(options),
+      cache_(std::make_unique<DecodedBlockCache>(reader)) {
+  result_.agg.kind = query.agg.kind;
+}
+
+FilteredBlock::FilteredBlock(FilteredBlock&&) noexcept = default;
+FilteredBlock& FilteredBlock::operator=(FilteredBlock&&) noexcept = default;
+FilteredBlock::~FilteredBlock() = default;
+
+Result<FilteredBlock> FilterLogBlock(LogBlockReader* reader,
+                                     const LogQuery& query,
+                                     const ExecOptions& options) {
   const logblock::Schema& schema = reader->schema();
   const uint32_t num_rows = reader->num_rows();
 
@@ -399,21 +411,21 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
     LOGSTORE_RETURN_IF_ERROR(bind(pred));
   }
 
-  BlockExecResult result;
-  result.agg.kind = query.agg.kind;
+  FilteredBlock block(reader, query, options);
+  BlockExecStats* stats = &block.result_.stats;
 
   // Figure 8 step 2: whole-block skip via column SMA.
   if (options.use_data_skipping) {
     for (const BoundPredicate& bp : preds) {
       if (ColumnSmaSkips(*reader, bp)) {
-        result.stats.skipped_by_column_sma = true;
-        return result;
+        stats->skipped_by_column_sma = true;
+        return block;
       }
     }
   }
 
-  index::RowIdSet candidates = index::RowIdSet::All(num_rows);
-  DecodedBlockCache cache(reader, &result.stats);
+  block.candidates_ = index::RowIdSet::All(num_rows);
+  index::RowIdSet& candidates = block.candidates_;
 
   // Figure 8 step 3: index probes, cheapest filters first.
   std::vector<const BoundPredicate*> residual;
@@ -444,9 +456,9 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
       if (Cancelled(options)) return CancelledStatus();
       auto rows = ProbeIndex(reader, bp, num_rows);
       if (!rows.ok()) return rows.status();
-      ++result.stats.index_probes;
+      ++stats->index_probes;
       candidates.IntersectWith(*rows);
-      if (candidates.Empty()) return result;
+      if (candidates.Empty()) return block;
     }
   } else {
     for (const BoundPredicate& bp : preds) residual.push_back(&bp);
@@ -455,32 +467,39 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
   // Figure 8 step 4: residual predicates via block SMA + scan.
   for (const BoundPredicate* bp : residual) {
     if (Cancelled(options)) return CancelledStatus();
-    LOGSTORE_RETURN_IF_ERROR(ApplyResidual(reader, *bp, options, &cache,
-                                           &candidates, &result.stats));
-    if (candidates.Empty()) return result;
+    LOGSTORE_RETURN_IF_ERROR(ApplyResidual(reader, *bp, options,
+                                           block.cache_.get(), &candidates,
+                                           stats));
+    if (candidates.Empty()) return block;
   }
 
   // Aggregate queries ship a partial aggregate instead of rows: fold the
-  // surviving candidates directly over the decoded vectors and return.
+  // surviving candidates directly over the decoded vectors.
   if (query.is_aggregate()) {
     LOGSTORE_RETURN_IF_ERROR(AggregateCandidates(reader, query, options,
-                                                 candidates, &cache, &result));
-    return result;
+                                                 candidates, block.cache_.get(),
+                                                 &block.result_));
   }
+  block.matched_ = candidates.Count();
+  return block;
+}
 
-  // Figure 8 step 5: load projected columns for surviving rows.
-  std::vector<uint32_t> rows = candidates.ToVector();
-  if (query.limit != 0 && rows.size() > query.limit) {
-    rows.resize(query.limit);
+Result<BlockExecResult> FilteredBlock::Gather(uint64_t n) {
+  if (query_->is_aggregate() || n == 0 || matched_ == 0) {
+    if (!query_->is_aggregate()) result_.stats.rows_matched = 0;
+    return std::move(result_);
   }
-  result.stats.rows_matched = rows.size();
-  if (rows.empty()) return result;
+  const logblock::Schema& schema = reader_->schema();
+
+  // The first n surviving rows, ascending.
+  const std::vector<uint32_t> rows = candidates_.ToVector(n);
+  result_.stats.rows_matched = rows.size();
 
   std::vector<size_t> out_cols;
-  if (query.select_columns.empty()) {
+  if (query_->select_columns.empty()) {
     for (size_t c = 0; c < schema.num_columns(); ++c) out_cols.push_back(c);
   } else {
-    for (const std::string& name : query.select_columns) {
+    for (const std::string& name : query_->select_columns) {
       const int col = schema.FindColumn(name);
       if (col < 0) {
         return Status::InvalidArgument("unknown select column: " + name);
@@ -489,10 +508,10 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
     }
   }
 
-  if (options.use_prefetch) {
+  if (options_.use_prefetch) {
     std::vector<ByteRange> ranges;
     for (size_t c : out_cols) {
-      const auto& blocks = reader->meta().columns[c].blocks;
+      const auto& blocks = reader_->meta().columns[c].blocks;
       // `rows` is ascending and blocks partition the row space in order, so
       // one forward sweep finds every block holding a surviving row.
       size_t next_row = 0;
@@ -503,7 +522,7 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
           ++next_row;
         }
         if (next_row < rows.size() && rows[next_row] < block_end) {
-          auto range = reader->ColumnBlockRange(c, b);
+          auto range = reader_->ColumnBlockRange(c, b);
           if (range.ok()) ranges.push_back(*range);
           while (next_row < rows.size() && rows[next_row] < block_end) {
             ++next_row;
@@ -512,7 +531,7 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
       }
     }
     if (ranges.size() > 1) {
-      (void)reader->Prefetch(ranges, options.prefetch_owner);
+      (void)reader_->Prefetch(ranges, options_.prefetch_owner);
     }
   }
 
@@ -520,10 +539,10 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
   // already decoded is not decoded again), then transpose to rows.
   std::vector<std::vector<Value>> columns(out_cols.size());
   for (size_t i = 0; i < out_cols.size(); ++i) {
-    if (Cancelled(options)) return CancelledStatus();
+    if (Cancelled(options_)) return CancelledStatus();
     const size_t c = out_cols[i];
     const bool is_int = schema.column(c).type == ColumnType::kInt64;
-    const auto& blocks = reader->meta().columns[c].blocks;
+    const auto& blocks = reader_->meta().columns[c].blocks;
     std::vector<Value>& out = columns[i];
     out.reserve(rows.size());
     size_t next = 0;
@@ -531,7 +550,7 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
       const auto& block = blocks[b];
       const uint32_t block_end = block.first_row + block.row_count;
       if (rows[next] >= block_end) continue;
-      auto decoded = cache.Get(c, b);
+      auto decoded = cache_->Get(c, b, &result_.stats);
       if (!decoded.ok()) return decoded.status();
       const logblock::DecodedColumnBlock& vec = **decoded;
       for (; next < rows.size() && rows[next] < block_end; ++next) {
@@ -541,14 +560,23 @@ Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
       }
     }
   }
-  result.rows.resize(rows.size());
+  result_.rows.resize(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
-    result.rows[r].reserve(out_cols.size());
+    result_.rows[r].reserve(out_cols.size());
     for (size_t i = 0; i < out_cols.size(); ++i) {
-      result.rows[r].push_back(std::move(columns[i][r]));
+      result_.rows[r].push_back(std::move(columns[i][r]));
     }
   }
-  return result;
+  return std::move(result_);
+}
+
+Result<BlockExecResult> ExecuteOnLogBlock(LogBlockReader* reader,
+                                          const LogQuery& query,
+                                          const ExecOptions& options) {
+  auto filtered = FilterLogBlock(reader, query, options);
+  if (!filtered.ok()) return filtered.status();
+  return filtered->Gather(query.limit == 0 ? filtered->matched()
+                                           : query.limit);
 }
 
 }  // namespace logstore::query

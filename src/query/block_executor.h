@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
+#include "index/rowid_set.h"
 #include "logblock/logblock_reader.h"
 #include "query/aggregation.h"
 #include "query/predicate.h"
@@ -25,9 +27,9 @@ struct ExecOptions {
   // schedule fairly across concurrent queries (0 = untagged).
   uint64_t prefetch_owner = 0;
   // Cooperative cancellation: when set and it becomes true, the executor
-  // stops between IO/scan steps and returns Status::Aborted. The parallel
-  // scheduler uses this for limit-aware early termination and to drain
-  // in-flight work after another block failed.
+  // stops between IO/scan steps and returns Status::Aborted. The scheduler
+  // gives each block a flag of its own and sets it when the block lies past
+  // the limit cut or after a block that failed (DESIGN §11).
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -75,17 +77,64 @@ struct BlockExecResult {
   BlockExecStats stats;
 };
 
-// Evaluates the conjunctive `query` against one LogBlock, implementing the
-// Figure 8 pipeline:
+class DecodedBlockCache;
+
+// One LogBlock's scan after its filter step (Figure 8 steps 2-4): the rows
+// that satisfy the query, waiting for the gather step (step 5). It keeps
+// the reader, the query and the per-execution decode cache, so the gather
+// reuses the column blocks the filter decoded. `reader` and `query` must
+// outlive it. For an aggregate query the filter has already folded the
+// matching rows into the partial aggregate, and the gather adds nothing.
+class FilteredBlock {
+ public:
+  FilteredBlock(FilteredBlock&&) noexcept;
+  FilteredBlock& operator=(FilteredBlock&&) noexcept;
+  ~FilteredBlock();
+
+  // Rows of the block that satisfy the query. It does not depend on the
+  // query's limit.
+  uint64_t matched() const { return matched_; }
+
+  // Figure 8 step 5: loads the projected columns for the first
+  // min(n, matched()) matching rows, in row order, through the decode
+  // cache, and returns the block's result with the stats of both steps; a
+  // row query's stats.rows_matched becomes the rows returned. With n == 0
+  // it reads nothing. An aggregate returns its fold whatever n is.
+  // Consumes the block: call it once.
+  Result<BlockExecResult> Gather(uint64_t n);
+
+ private:
+  friend Result<FilteredBlock> FilterLogBlock(logblock::LogBlockReader*,
+                                              const LogQuery&,
+                                              const ExecOptions&);
+  FilteredBlock(logblock::LogBlockReader* reader, const LogQuery& query,
+                const ExecOptions& options);
+
+  logblock::LogBlockReader* reader_;
+  const LogQuery* query_;
+  ExecOptions options_;
+  index::RowIdSet candidates_;
+  std::unique_ptr<DecodedBlockCache> cache_;
+  uint64_t matched_ = 0;
+  BlockExecResult result_;
+};
+
+// The filter step of one LogBlock scan:
 //   2. skip the whole block via column SMA
 //   3. probe per-column indexes (BKD / inverted) into a row-id set
 //   4. for residual predicates, skip column blocks whose block SMA proves
 //      no row or every row matches, scan the rest, and intersect
-//   5. load the projected columns for the surviving row ids — or, for an
-//      aggregate query, fold the surviving rows into a partial AggResult
-//      (no row materialization; `limit` does not cut the scan, and
-//      stats.rows_matched counts ALL matching rows)
+// and, for an aggregate query, fold the surviving rows into a partial
+// AggResult (no row materialization; `limit` does not cut the fold).
 // The tenant/ts pruning of step 1 happens above, against the LogBlock map.
+Result<FilteredBlock> FilterLogBlock(logblock::LogBlockReader* reader,
+                                     const LogQuery& query,
+                                     const ExecOptions& options = {});
+
+// The whole Figure 8 pipeline on one LogBlock: FilterLogBlock, then a
+// gather of the first `query.limit` matching rows (all of them when the
+// limit is 0). For an aggregate, stats.rows_matched counts ALL matching
+// rows.
 Result<BlockExecResult> ExecuteOnLogBlock(logblock::LogBlockReader* reader,
                                           const LogQuery& query,
                                           const ExecOptions& options = {});

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 
 #include "prefetch/cached_source.h"
 
@@ -165,52 +167,94 @@ Status MergeRealtimeRows(
 namespace {
 
 // One block's outcome within a read. `status` is Aborted when the block was
-// cooperatively cancelled (limit secured or a peer's real error) — Aborted
-// never escapes the merge.
+// stopped (it lies past the limit cut, or after a block that failed) —
+// Aborted never escapes the merge.
 struct BlockSlot {
   Status status;
   bool ran = false;  // true iff `exec` holds a real result
   BlockExecResult exec;
   std::vector<std::string> columns;  // schema names (select list empty)
+  // Held from the block's filter to its gather.
+  std::shared_ptr<logblock::LogBlockReader> reader;
+  std::optional<FilteredBlock> filtered;
 };
 
-// Fires the shared cancel flag once the limit is secured in completed-
-// prefix order — the §11 rule ("every block before the cut is done and
-// already supplies `limit` rows") — so a cancel never aborts a block the
-// merge will reach before the limit cut.
+// A block whose share of the limit is known: gather its first `rows`
+// matching rows.
+struct Share {
+  size_t block = 0;
+  uint64_t rows = 0;
+};
+
+// Turns the blocks' filter counts into their shares of the limit, in
+// completed-prefix order (§11): once blocks [0, i) have all filtered, block
+// i's share is min(count, limit - shares of the blocks before it). Owns
+// each block's stop flag (its ExecOptions::cancel) and sets it in two cases
+// only: the block lies past the cut (the prefix's counts reached the limit
+// before it), or a block before it failed. So a stop never reaches a block
+// the merge needs.
 class LimitTracker {
  public:
-  LimitTracker(size_t num_blocks, uint32_t limit, std::atomic<bool>* cancel)
+  // `limit` 0 means none: each block's share is its count, known at once.
+  LimitTracker(size_t num_blocks, uint32_t limit)
       : limit_(limit),
-        cancel_(cancel),
-        done_(num_blocks, 0),
-        rows_(num_blocks, 0) {}
+        stop_(std::make_unique<std::atomic<bool>[]>(num_blocks)),
+        num_blocks_(num_blocks),
+        stop_from_(num_blocks),
+        counts_(limit == 0 ? 0 : num_blocks, kNotFiltered) {}
 
-  void OnBlockDone(size_t index, const BlockSlot& slot) {
-    if (limit_ == 0) return;  // unlimited: nothing to secure
+  const std::atomic<bool>* stop_flag(size_t index) const {
+    return &stop_[index];
+  }
+  bool stopped(size_t index) const {
+    return stop_[index].load(std::memory_order_acquire);
+  }
+
+  // Block `index` has filtered `count` matching rows. Returns the shares
+  // this made known, in block order: block `index` first, if any.
+  std::vector<Share> OnFiltered(size_t index, uint64_t count) {
+    if (limit_ == 0) return {{index, count}};
     std::lock_guard<std::mutex> lock(mu_);
-    done_[index] = 1;
-    if (slot.ran) rows_[index] = slot.exec.rows.size();
-    while (prefix_len_ < done_.size() && done_[prefix_len_] != 0) {
-      prefix_rows_ += rows_[prefix_len_];
+    counts_[index] = count;
+    std::vector<Share> shares;
+    while (prefix_len_ < num_blocks_ && prefix_rows_ < limit_ &&
+           counts_[prefix_len_] != kNotFiltered) {
+      const uint64_t share =
+          std::min<uint64_t>(counts_[prefix_len_], limit_ - prefix_rows_);
+      shares.push_back({prefix_len_, share});
+      prefix_rows_ += share;
       ++prefix_len_;
     }
-    if (prefix_rows_ >= limit_) {
-      // Limit secured in completed-prefix order: all in-flight work has a
-      // strictly higher block index, provably beyond the limit cut. Never
-      // fires speculatively.
-      cancel_->store(true, std::memory_order_release);
-    }
+    // The cut: every block from prefix_len_ on lies past the limit.
+    if (prefix_rows_ >= limit_) StopFrom(prefix_len_);
+    return shares;
+  }
+
+  // Block `index` failed: the merge stops there, so stop every later block.
+  void OnFailed(size_t index) {
+    std::lock_guard<std::mutex> lock(mu_);
+    StopFrom(index + 1);
   }
 
  private:
-  const uint32_t limit_;
-  std::atomic<bool>* cancel_;
+  static constexpr uint64_t kNotFiltered = UINT64_MAX;
+
+  // Requires mu_.
+  void StopFrom(size_t first) {
+    for (size_t i = first; i < stop_from_; ++i) {
+      stop_[i].store(true, std::memory_order_release);
+    }
+    stop_from_ = std::min(stop_from_, first);
+  }
+
+  const uint64_t limit_;
+  const std::unique_ptr<std::atomic<bool>[]> stop_;
+  const size_t num_blocks_;
   std::mutex mu_;
-  std::vector<char> done_;
-  std::vector<uint64_t> rows_;  // per-block matched-row counts
-  size_t prefix_len_ = 0;       // blocks [0, prefix_len_) all completed
-  uint64_t prefix_rows_ = 0;    // rows matched inside that prefix
+  size_t stop_from_;             // blocks [stop_from_, n) are all stopped
+  std::vector<uint64_t> counts_;  // per-block filter counts
+  size_t prefix_len_ = 0;         // blocks [0, prefix_len_) have shares
+  uint64_t prefix_rows_ = 0;      // the sum of those shares
 };
 
 // Deterministic merge of a read's slots in block-map order, trimming at the
@@ -221,16 +265,15 @@ Status MergeBlockSlots(const LogQuery& query, std::vector<BlockSlot>& slots,
   for (size_t i = 0; i < n; ++i) {
     BlockSlot& slot = slots[i];
     if (!slot.ran) {
-      // This block failed, or was cooperatively aborted after a later
-      // block's real failure triggered cancellation (a limit-triggered
-      // cancel never aborts a block the merge reaches before the limit
-      // cut). Either way, report the lowest-index real error.
-      for (size_t j = i; j < n; ++j) {
-        if (!slots[j].status.ok() && !slots[j].status.IsAborted()) {
-          return slots[j].status;
-        }
+      // Only the block's own failure leaves a slot the merge reaches
+      // without a result: the blocks after a failed block are stopped, and
+      // those past the limit cut are never reached. So this is the error of
+      // the lowest-index failing block.
+      if (slot.status.ok() || slot.status.IsAborted()) {
+        return Status::Internal("query block " + std::to_string(i) +
+                                " has no result: " + slot.status.ToString());
       }
-      return slot.status;  // defensive: all-aborted cannot happen
+      return slot.status;
     }
     if (result->columns.empty()) {
       if (query.select_columns.empty()) {
@@ -405,11 +448,10 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
   const size_t n = blocks.size();
 
   // Every block writes its outcome to the slot at its block-map index, and
-  // one cancel flag and one limit tracker span the whole block list.
-  // Aggregates scan every block, so the limit never arms the tracker.
+  // one limit tracker spans the whole block list. Aggregates scan every
+  // block, so the tracker gives each one its whole count.
   std::vector<BlockSlot> slots(n);
-  std::atomic<bool> cancel{false};
-  LimitTracker tracker(n, query.is_aggregate() ? 0 : query.limit, &cancel);
+  LimitTracker tracker(n, query.is_aggregate() ? 0 : query.limit);
 
   ExecOptions exec_options;
   exec_options.use_data_skipping = options_.use_data_skipping;
@@ -418,7 +460,6 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
   // round-robin across owners, so one wide scan cannot starve others.
   exec_options.prefetch_owner =
       next_query_owner_.fetch_add(1, std::memory_order_relaxed);
-  exec_options.cancel = &cancel;
 
   // Inline when there is no pool, or nothing to overlap.
   const bool run_inline = query_pool_ == nullptr || n <= 1;
@@ -450,60 +491,96 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
       static_cast<size_t>(std::max(options_.pipeline_depth, 0));
   warm_ahead(lookahead);
 
-  auto run_block = [&](size_t i) {
+  // Records a block's outcome; a real failure stops the blocks after it.
+  auto fail = [&](size_t i, Status status) {
+    if (!status.IsAborted()) tracker.OnFailed(i);
+    slots[i].status = std::move(status);
+  };
+
+  // The filter step of block i. Returns the shares its count made known.
+  auto filter = [&](size_t i) -> std::vector<Share> {
     BlockSlot& slot = slots[i];
-    if (cancel.load(std::memory_order_acquire)) {
+    if (tracker.stopped(i)) {
       slot.status = Status::Aborted("query cancelled");
-    } else {
-      warm_ahead(i + 1 + lookahead);
-      auto reader = OpenReader(blocks[i].object_key, blocks[i].size_bytes);
-      if (!reader.ok()) {
-        slot.status = reader.status();
-      } else {
-        if (query.select_columns.empty()) {
-          for (const auto& col : (*reader)->schema().columns()) {
-            slot.columns.push_back(col.name);
-          }
-        }
-        // Execute with the query's full limit: per-block evaluation is
-        // limit-independent up to the final row trim, so concatenating the
-        // per-block results in map order and trimming once at merge time
-        // gives the same bytes for any thread count.
-        auto exec = ExecuteOnLogBlock(reader->get(), query, exec_options);
-        if (exec.ok()) {
-          slot.ran = true;
-          slot.exec = std::move(exec).value();
-        } else {
-          slot.status = exec.status();
-        }
+      return {};
+    }
+    warm_ahead(i + 1 + lookahead);
+    auto reader = OpenReader(blocks[i].object_key, blocks[i].size_bytes);
+    if (!reader.ok()) {
+      fail(i, reader.status());
+      return {};
+    }
+    if (query.select_columns.empty()) {
+      for (const auto& col : (*reader)->schema().columns()) {
+        slot.columns.push_back(col.name);
       }
     }
-
-    if (!slot.status.ok() && !slot.status.IsAborted()) {
-      // Real failure: stop feeding IO to in-flight tasks. The merge still
-      // reports the lowest-index real error deterministically.
-      cancel.store(true, std::memory_order_release);
+    ExecOptions block_options = exec_options;
+    block_options.cancel = tracker.stop_flag(i);
+    auto filtered = FilterLogBlock(reader->get(), query, block_options);
+    if (!filtered.ok()) {
+      fail(i, filtered.status());
+      return {};
     }
-    tracker.OnBlockDone(i, slot);
+    const uint64_t matched = filtered->matched();
+    slot.reader = std::move(reader).value();
+    slot.filtered.emplace(std::move(filtered).value());
+    return tracker.OnFiltered(i, matched);
+  };
+
+  // The gather step: the block's share of the limit, which the merge keeps
+  // whole, so the merged rows and stats do not depend on the schedule.
+  auto gather = [&](const Share& share) {
+    BlockSlot& slot = slots[share.block];
+    auto exec = slot.filtered->Gather(share.rows);
+    slot.filtered.reset();
+    slot.reader.reset();
+    if (exec.ok()) {
+      slot.ran = true;
+      slot.exec = std::move(exec).value();
+    } else {
+      fail(share.block, exec.status());
+    }
   };
 
   if (run_inline) {
-    // Same contract, on the calling thread, in map order.
-    for (size_t i = 0; i < n; ++i) run_block(i);
+    // Same contract, on the calling thread, in map order: each block's
+    // share is known as soon as it has filtered.
+    for (size_t i = 0; i < n; ++i) {
+      for (const Share& share : filter(i)) gather(share);
+    }
   } else {
-    // One pool task per block, queued under the tenant: the pool serves
-    // tenants round-robin, so a wide scan queues behind itself, not in
-    // front of another tenant's blocks. A queued block of a cancelled query
-    // still starts, sees the flag and returns Aborted.
+    // One pool task per block filter, queued under the tenant: the pool
+    // serves tenants round-robin, so a wide scan queues behind itself, not
+    // in front of another tenant's blocks. The task that makes shares known
+    // gathers its own block and queues the others' gathers the same way. A
+    // queued filter of a stopped block still starts, sees its flag and
+    // returns Aborted.
     std::mutex mu;
     std::condition_variable done_cv;
-    size_t pending = n;
+    size_t pending = n;  // queued or running tasks
+    auto task_done = [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) done_cv.notify_all();
+    };
     for (size_t i = 0; i < n; ++i) {
-      query_pool_->Schedule(query.tenant_id, [&run_block, &mu, &done_cv,
-                                              &pending, i] {
-        run_block(i);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) done_cv.notify_all();
+      query_pool_->Schedule(query.tenant_id, [&, i] {
+        const std::vector<Share> shares = filter(i);
+        if (shares.size() > 1) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            pending += shares.size() - 1;
+          }
+          for (size_t k = 1; k < shares.size(); ++k) {
+            query_pool_->Schedule(query.tenant_id,
+                                  [&gather, &task_done, share = shares[k]] {
+                                    gather(share);
+                                    task_done();
+                                  });
+          }
+        }
+        if (!shares.empty()) gather(shares.front());
+        task_done();
       });
     }
     std::unique_lock<std::mutex> lock(mu);

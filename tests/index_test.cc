@@ -73,6 +73,18 @@ TEST(RowIdSetTest, AddRange) {
   EXPECT_FALSE(s.Contains(70));
 }
 
+TEST(RowIdSetTest, ToVectorStopsAtMaxRows) {
+  RowIdSet s(200);
+  for (uint32_t row : {0u, 5u, 63u, 64u, 65u, 127u, 128u, 199u}) s.Add(row);
+  const std::vector<uint32_t> all = s.ToVector();
+  ASSERT_EQ(all.size(), 8u);
+  for (size_t max_rows = 0; max_rows <= all.size() + 1; ++max_rows) {
+    const std::vector<uint32_t> first(
+        all.begin(), all.begin() + std::min(max_rows, all.size()));
+    EXPECT_EQ(s.ToVector(max_rows), first) << "max_rows=" << max_rows;
+  }
+}
+
 TEST(Int64SmaTest, UpdateAndSkip) {
   Int64Sma sma;
   EXPECT_TRUE(sma.DisjointWith(0, 100));  // empty: always skippable

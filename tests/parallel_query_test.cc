@@ -4,19 +4,26 @@
 // (content AND order) and deterministic stats byte-equal at 1, 4 and 8
 // threads — across a seeded query matrix, including limit queries, fault
 // injection, cancellation after a real error, and many queries sharing one
-// engine.
+// engine. A limit query gathers each LogBlock's share of the limit only:
+// the bytes it decodes and the ranges it reads stop at the limit cut, and a
+// failure past the cut does not fail it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/data_builder.h"
+#include "logblock/format.h"
+#include "logblock/logblock_reader.h"
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
+#include "objectstore/simulated_object_store.h"
 #include "query/engine.h"
 #include "reference_query.h"
 #include "rowstore/row_store.h"
@@ -36,7 +43,7 @@ class ParallelQueryTest : public ::testing::TestWithParam<int> {
     // scheduler has real fan-out and limit queries break mid-list.
     cluster::DataBuilderOptions builder_options;
     builder_options.max_rows_per_logblock = 500;
-    builder_options.block_options.rows_per_block = 128;
+    builder_options.block_options.rows_per_block = rows_per_block_;
     cluster::DataBuilder builder(store_.get(), &map_, builder_options);
     rowstore::RowStore rows(logblock::RequestLogSchema());
     workload::LogGenerator gen(41);
@@ -89,6 +96,16 @@ class ParallelQueryTest : public ::testing::TestWithParam<int> {
         << label;
   }
 
+  // The OSS model of the benchmarks: 2 ms to first byte, 50 MB/s shared.
+  static objectstore::SimulatedStoreOptions OssModel() {
+    objectstore::SimulatedStoreOptions sim;
+    sim.first_byte_latency_us = 2000;
+    sim.bandwidth_bytes_per_us = 50.0;
+    sim.max_concurrent_requests = 64;
+    return sim;
+  }
+
+  uint32_t rows_per_block_ = 128;
   std::unique_ptr<objectstore::MemoryObjectStore> store_;
   logblock::LogBlockMap map_;
   std::vector<reference::TenantRows> data_;
@@ -98,7 +115,9 @@ TEST_P(ParallelQueryTest, MatchesReferenceAtEveryThreadCount) {
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
-    for (uint32_t limit : {0u, 1u, 7u, 100u}) {
+    // 128/129 and 500/501 cut at and just past a column block and a
+    // LogBlock.
+    for (uint32_t limit : {0u, 1u, 7u, 100u, 128u, 129u, 500u, 501u}) {
       LogQuery query = base_query;
       query.limit = limit;
       const std::string label = "limit=" + std::to_string(limit);
@@ -182,6 +201,221 @@ TEST_F(ParallelQueryTest, CancellationUnderErrorDoesNotHangOrPoison) {
   auto clean = Run(store_.get(), Options(1), query);
   ASSERT_TRUE(clean.ok());
   ExpectIdentical(*clean, *recovered, "recovered");
+}
+
+TEST_F(ParallelQueryTest, FailurePastTheCutDoesNotFailTheQuery) {
+  // The tenant's last LogBlock is unreachable, but a limit of 7 is met by
+  // its first: at every thread count the query returns the reference
+  // answer, because a failure stops only the blocks after the failing one,
+  // and the merge never reaches it.
+  const auto blocks = map_.TenantBlocks(1);
+  ASSERT_GT(blocks.size(), 2u);
+  auto faulty_store =
+      std::make_unique<objectstore::FaultInjectingObjectStore>(
+          store_.get(), objectstore::FaultInjectionOptions{});
+  faulty_store->BlacklistKey(blocks.back().object_key);
+  objectstore::SimulatedObjectStore oss(std::move(faulty_store), OssModel());
+
+  LogQuery query;
+  query.tenant_id = 1;
+  query.limit = 7;
+  auto clean = Run(store_.get(), Options(1), query);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  reference::ExpectMatchesReference(reference::Evaluate(data_, query), query,
+                                    *clean, "clean");
+  for (int threads : {1, 4, 8}) {
+    EngineOptions options = Options(threads);
+    options.use_retry = false;
+    for (int run = 0; run < 10; ++run) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " run=" + std::to_string(run);
+      auto result = Run(&oss, options, query);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      ExpectIdentical(*clean, *result, label);
+    }
+  }
+}
+
+// Records every GetRange that reaches the wrapped store.
+class RangeRecordingStore : public objectstore::ObjectStore {
+ public:
+  struct Range {
+    std::string key;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  explicit RangeRecordingStore(objectstore::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, const Slice& data) override {
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    auto size = base_->Head(key);
+    if (size.ok()) Record(key, 0, *size);
+    return base_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    Record(key, offset, length);
+    return base_->GetRange(key, offset, length);
+  }
+  Result<uint64_t> Head(const std::string& key) override {
+    return base_->Head(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  objectstore::ObjectStoreStats& stats() override { return base_->stats(); }
+
+  std::vector<Range> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(ranges_);
+  }
+
+ private:
+  void Record(const std::string& key, uint64_t offset, uint64_t length) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ranges_.push_back({key, offset, length});
+  }
+
+  objectstore::ObjectStore* base_;
+  std::mutex mu_;
+  std::vector<Range> ranges_;
+};
+
+TEST_F(ParallelQueryTest, NoReadOfTheGatheredColumnPastTheCut) {
+  // Eight blocks scan at once on the OSS model and the first block's
+  // filter meets the limit: no block past the cut may read any byte of its
+  // `log` data member, which only a gather reads. Block 0's gather must.
+  const auto blocks = map_.TenantBlocks(1);
+  ASSERT_GT(blocks.size(), 2u);
+  const EngineOptions options = Options(8);
+  std::vector<ByteRange> log_data;  // per block, in map order
+  for (const auto& block : blocks) {
+    auto bytes = store_->Get(block.object_key);
+    ASSERT_TRUE(bytes.ok());
+    auto reader = logblock::LogBlockReader::Open(
+        std::make_shared<logblock::StringSource>(std::move(bytes).value()));
+    ASSERT_TRUE(reader.ok());
+    const int log_col = (*reader)->schema().FindColumn("log");
+    ASSERT_GE(log_col, 0);
+    auto range = (*reader)->MemberRange(
+        logblock::DataMemberName(static_cast<size_t>(log_col)));
+    ASSERT_TRUE(range.ok());
+    log_data.push_back(*range);
+    // The aligned block holding the member's first byte lies past the head
+    // warm-up and past the meta, so only a read meant for the member (or
+    // for the member just before it, which this query never needs) can
+    // reach it.
+    auto meta = (*reader)->MemberRange(logblock::MetaMemberName());
+    ASSERT_TRUE(meta.ok());
+    const uint64_t first_io_block = range->offset / options.io_block_size;
+    ASSERT_GE(first_io_block, 2u) << "fixture LogBlocks too small";
+    ASSERT_GE(first_io_block * options.io_block_size, meta->end())
+        << "fixture LogBlocks too small";
+  }
+
+  auto recording = std::make_unique<RangeRecordingStore>(store_.get());
+  RangeRecordingStore* recorder = recording.get();
+  objectstore::SimulatedObjectStore oss(std::move(recording), OssModel());
+
+  LogQuery query;
+  query.tenant_id = 1;
+  query.select_columns = {"ts", "log"};
+  query.limit = 7;
+  const reference::Answer expected = reference::Evaluate(data_, query);
+  for (int run = 0; run < 10; ++run) {
+    const std::string label = "run=" + std::to_string(run);
+    auto result = Run(&oss, options, query);
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    reference::ExpectMatchesReference(expected, query, *result, label);
+
+    const std::vector<RangeRecordingStore::Range> ranges = recorder->Take();
+    bool read_block0_log = false;
+    for (const auto& range : ranges) {
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        if (range.key != blocks[b].object_key) continue;
+        const bool in_log = range.offset < log_data[b].end() &&
+                            range.offset + range.length > log_data[b].offset;
+        if (b == 0) {
+          read_block0_log |= in_log;
+        } else {
+          EXPECT_FALSE(in_log)
+              << label << ": block " << b << " past the cut read ["
+              << range.offset << ", " << range.offset + range.length
+              << ") of its log data member";
+        }
+      }
+    }
+    EXPECT_TRUE(read_block0_log) << label;
+  }
+}
+
+// Column blocks of 64 rows: a limit can cut inside or at the edge of one.
+class LimitShareTest : public ParallelQueryTest {
+ protected:
+  LimitShareTest() { rows_per_block_ = 64; }
+};
+
+TEST_F(LimitShareTest, DecodesOnlyTheColumnBlocksOfReturnedRows) {
+  // A query with no predicate decodes nothing in its filter, so all it
+  // decodes is its gather: for each LogBlock in map order, the `log`
+  // column blocks that hold the block's share of the limit. Worked out
+  // here from the stored LogBlocks, block by block.
+  const auto blocks = map_.TenantBlocks(1);
+  ASSERT_GT(blocks.size(), 2u);
+  struct LogColumnBlock {
+    uint64_t decompressed_bytes = 0;
+    std::vector<std::string> values;
+  };
+  std::vector<LogColumnBlock> column_blocks;  // map order, then row order
+  for (const auto& block : blocks) {
+    auto bytes = store_->Get(block.object_key);
+    ASSERT_TRUE(bytes.ok());
+    auto reader = logblock::LogBlockReader::Open(
+        std::make_shared<logblock::StringSource>(std::move(bytes).value()));
+    ASSERT_TRUE(reader.ok());
+    const size_t log_col =
+        static_cast<size_t>((*reader)->schema().FindColumn("log"));
+    const auto& meta = (*reader)->meta().columns[log_col];
+    for (size_t b = 0; b < meta.blocks.size(); ++b) {
+      auto decoded = (*reader)->ReadColumnBlock(log_col, b);
+      ASSERT_TRUE(decoded.ok());
+      column_blocks.push_back(
+          {decoded->decompressed_bytes,
+           std::vector<std::string>(decoded->strs.begin(),
+                                    decoded->strs.end())});
+    }
+  }
+
+  LogQuery query;
+  query.tenant_id = 1;
+  query.select_columns = {"log"};
+  for (uint32_t limit : {1u, 63u, 64u, 65u, 499u, 500u, 501u, 700u, 4000u}) {
+    query.limit = limit;
+    uint64_t want_bytes = 0;
+    std::vector<std::vector<logblock::Value>> want_rows;
+    for (const LogColumnBlock& block : column_blocks) {
+      if (want_rows.size() == limit) break;
+      want_bytes += block.decompressed_bytes;
+      for (const std::string& value : block.values) {
+        if (want_rows.size() == limit) break;
+        want_rows.push_back({logblock::Value::String(value)});
+      }
+    }
+    const reference::Answer expected = reference::Evaluate(data_, query);
+    for (int threads : {1, 4, 8}) {
+      const std::string label = "limit=" + std::to_string(limit) +
+                                " threads=" + std::to_string(threads);
+      auto result = Run(store_.get(), Options(threads), query);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      reference::ExpectMatchesReference(expected, query, *result, label);
+      EXPECT_EQ(result->rows, want_rows) << label;
+      EXPECT_EQ(result->stats.exec.bytes_decoded, want_bytes) << label;
+    }
+  }
 }
 
 TEST_F(ParallelQueryTest, ConcurrentQueriesShareOneEngine) {

@@ -277,7 +277,9 @@ TEST_P(VectorizedQueryTest, MatchesReferenceAcrossSchedules) {
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
   for (const auto& base_query : qgen.TenantQuerySet(tenant, 0, kHistory)) {
     for (bool skipping : {true, false}) {
-      for (uint32_t limit : {0u, 1u, 7u, 100u}) {
+      // 128/129 and 500/501 cut at and just past a column block and a
+      // LogBlock.
+      for (uint32_t limit : {0u, 1u, 7u, 100u, 128u, 129u, 500u, 501u}) {
         LogQuery query = base_query;
         query.limit = limit;
         const std::string label = "skipping=" + std::to_string(skipping) +
