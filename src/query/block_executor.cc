@@ -13,18 +13,34 @@
 
 namespace logstore::query {
 
-// Decoded-column-block cache for the life of ONE block execution, filter
-// and gather: residual predicates on the same column, the aggregation pass,
-// and the gather all reuse a block decoded by an earlier step instead of
-// re-reading and re-decompressing it. Hits are counted in stats
+namespace {
+
+using logblock::ColumnType;
+using logblock::IndexType;
+using logblock::LogBlockReader;
+using logblock::Value;
+
+// A predicate bound to a column ordinal. For kMatch the query text is
+// tokenized ONCE here, not per row in the scan loop.
+struct BoundPredicate {
+  Predicate pred;
+  size_t col = 0;
+  std::vector<std::string> match_tokens;
+};
+
+}  // namespace
+
+// Decoded-column-block cache for the life of ONE block scan (its filter
+// and its gather): residual predicates on the same column, the aggregation
+// pass, and the gather all reuse a block decoded by an earlier step instead
+// of re-reading and re-decompressing it. Hits are counted in stats
 // (`query.decode_cache_hits`), misses as the bytes they decompress
 // (`query.vectorized.bytes_decoded`); `column_blocks_scanned` keeps its
 // pre-cache semantics (one count per residual scan pass, hit or not), so
 // cached and uncached runs report identical scan stats.
 class DecodedBlockCache {
  public:
-  explicit DecodedBlockCache(logblock::LogBlockReader* reader)
-      : reader_(reader) {}
+  explicit DecodedBlockCache(LogBlockReader* reader) : reader_(reader) {}
 
   Result<const logblock::DecodedColumnBlock*> Get(size_t col, size_t block_idx,
                                                   BlockExecStats* stats) {
@@ -42,24 +58,11 @@ class DecodedBlockCache {
   }
 
  private:
-  logblock::LogBlockReader* reader_;
+  LogBlockReader* reader_;
   std::map<std::pair<size_t, size_t>, logblock::DecodedColumnBlock> cache_;
 };
 
 namespace {
-
-using logblock::ColumnType;
-using logblock::IndexType;
-using logblock::LogBlockReader;
-using logblock::Value;
-
-// A predicate bound to a column ordinal. For kMatch the query text is
-// tokenized ONCE here, not per row in the scan loop.
-struct BoundPredicate {
-  Predicate pred;
-  size_t col = 0;
-  std::vector<std::string> match_tokens;
-};
 
 // True if the whole LogBlock can be skipped for `bp` using column SMA.
 bool ColumnSmaSkips(const LogBlockReader& reader, const BoundPredicate& bp) {
@@ -486,7 +489,6 @@ Result<FilteredBlock> FilterLogBlock(LogBlockReader* reader,
 
 Result<BlockExecResult> FilteredBlock::Gather(uint64_t n) {
   if (query_->is_aggregate() || n == 0 || matched_ == 0) {
-    if (!query_->is_aggregate()) result_.stats.rows_matched = 0;
     return std::move(result_);
   }
   const logblock::Schema& schema = reader_->schema();

@@ -257,8 +257,8 @@ class LimitTracker {
   uint64_t prefix_rows_ = 0;      // the sum of those shares
 };
 
-// Deterministic merge of a read's slots in block-map order, trimming at the
-// limit. `slots` is consumed.
+// Deterministic merge of a read's slots in block-map order, up to the block
+// the limit cut falls in. `slots` is consumed.
 Status MergeBlockSlots(const LogQuery& query, std::vector<BlockSlot>& slots,
                        QueryResult* result) {
   const size_t n = slots.size();
@@ -289,10 +289,10 @@ Status MergeBlockSlots(const LogQuery& query, std::vector<BlockSlot>& slots,
     // Partial aggregates combine across every slot; aggregate slots carry
     // no rows, so the limit cut below never ends this loop early for them.
     result->agg.MergeFrom(slot.exec.agg);
-    for (auto& row : slot.exec.rows) {
-      if (query.limit != 0 && result->rows.size() >= query.limit) break;
-      result->rows.push_back(std::move(row));
-    }
+    // Each slot holds exactly its share of the limit, so the rows of the
+    // slots up to the cut are the answer, and their rows_matched add up to
+    // its row count.
+    for (auto& row : slot.exec.rows) result->rows.push_back(std::move(row));
     if (query.limit != 0 && result->rows.size() >= query.limit) break;
   }
   return Status::OK();
@@ -587,14 +587,7 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
     done_cv.wait(lock, [&] { return pending == 0; });
   }
 
-  LOGSTORE_RETURN_IF_ERROR(MergeBlockSlots(query, slots, result));
-  // Aggregate queries keep the merged per-block rows_matched (ALL matching
-  // rows; there are no result rows to count). Row queries recount from the
-  // final row set because per-block counts may overshoot the limit cut.
-  if (!query.is_aggregate()) {
-    result->stats.exec.rows_matched = result->rows.size();
-  }
-  return Status::OK();
+  return MergeBlockSlots(query, slots, result);
 }
 
 std::vector<logblock::Value> QueryEngine::Column(const QueryResult& result,

@@ -149,11 +149,11 @@ class QueryEngine {
   // and scans the surviving blocks with the §11 scheduler (pipelined head
   // prefetch; each block filtered, then gathered for its share of the
   // limit; a stop flag per block and one limit tracker), then merges the
-  // per-block results in block-map order and recounts rows_matched for row
-  // queries. Each filter and each queued gather is one pool task under
-  // query.tenant_id. Scans inline on the calling thread when the engine has
-  // no query pool or the query has one block. Records no metrics: Execute
-  // and the cluster read each record a query's final stats once.
+  // per-block results in block-map order up to the limit cut. Each filter
+  // and each queued gather is one pool task under query.tenant_id. Scans
+  // inline on the calling thread when the engine has no query pool or the
+  // query has one block. Records no metrics: Execute and the cluster read
+  // each record a query's final stats once.
   Status RunBlocks(const LogQuery& query, const logblock::LogBlockMap& map,
                    QueryResult* result);
 
