@@ -42,15 +42,18 @@ Result<std::unique_ptr<BlockManager>> BlockManager::Open(
 std::shared_ptr<const std::string> BlockManager::Get(const std::string& key) {
   if (auto block = memory_->Get(key)) return block;
   if (ssd_ != nullptr) {
-    if (auto block = ssd_->Get(key)) {
+    uint64_t version = 0;
+    if (auto block = ssd_->Get(key, &version)) {
       // Promote to the memory level for subsequent hits. The levels are
       // exclusive: the SSD copy is released so the bytes are charged once,
       // and a later memory eviction spills the block back down. Insert into
       // memory BEFORE erasing from SSD: a concurrent Get of the same key
       // that misses SSD mid-promotion then finds the block on its memory
-      // re-check instead of reporting a spurious miss.
+      // re-check instead of reporting a spurious miss. The erase drops only
+      // the entry read: if memory already evicted the promoted copy again,
+      // its fresh spill stays.
       memory_->Insert(key, block, block->size(), /*spill_on_evict=*/true);
-      ssd_->Erase(key);
+      ssd_->Erase(key, version);
       return block;
     }
     // A racing promotion may have moved the block from SSD to memory
@@ -73,13 +76,14 @@ std::vector<std::shared_ptr<const std::string>> BlockManager::GetBatch(
     }
   }
   if (ssd_keys.empty()) return out;
-  auto ssd_blocks = ssd_->GetBatch(ssd_keys);
+  std::vector<uint64_t> versions;
+  auto ssd_blocks = ssd_->GetBatch(ssd_keys, &versions);
   for (size_t j = 0; j < ssd_keys.size(); ++j) {
     if (ssd_blocks[j] != nullptr) {
       // Same exclusive promotion as Get (insert-then-erase).
       memory_->Insert(ssd_keys[j], ssd_blocks[j], ssd_blocks[j]->size(),
                       /*spill_on_evict=*/true);
-      ssd_->Erase(ssd_keys[j]);
+      ssd_->Erase(ssd_keys[j], versions[j]);
       out[ssd_slots[j]] = std::move(ssd_blocks[j]);
     } else if (auto block = memory_->Get(ssd_keys[j])) {
       out[ssd_slots[j]] = std::move(block);  // racing promotion landed it

@@ -81,6 +81,10 @@ class LruCache {
       CollectEvictionsLocked(&victims);
       on_evict = on_evict_;
       on_evict_batch = on_evict_batch_;
+      if (!on_evict && !on_evict_batch) victims.clear();
+      // A victim stays readable until its callback (a spill to a lower
+      // level) returns, so it is never in neither level.
+      for (const Victim& v : victims) spilling_[v.key] = v.value;
     }
     // Callbacks run after the shard mutex is released: the SSD-spill
     // callback does disk IO, and a callback that re-enters the cache must
@@ -91,20 +95,31 @@ class LruCache {
     if (on_evict_batch) {
       std::vector<Evicted> batch;
       batch.reserve(victims.size());
-      for (Victim& v : victims) {
-        batch.push_back({std::move(v.key), std::move(v.value), v.charge});
+      for (const Victim& v : victims) {
+        batch.push_back({v.key, v.value, v.charge});
       }
       on_evict_batch(std::move(batch));
-    } else if (on_evict) {
-      for (Victim& v : victims) on_evict(v.key, v.value, v.charge);
+    } else {
+      for (const Victim& v : victims) on_evict(v.key, v.value, v.charge);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Victim& v : victims) {  // unless a later eviction replaced it
+      auto it = spilling_.find(v.key);
+      if (it != spilling_.end() && it->second == v.value) spilling_.erase(it);
     }
   }
 
-  // Returns the value and refreshes recency, or nullptr.
+  // Returns the value and refreshes recency (or a victim whose eviction
+  // callback is running), or nullptr.
   std::shared_ptr<V> Get(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it == map_.end()) {
+      auto spilling = spilling_.find(key);
+      if (spilling != spilling_.end()) {
+        if (stats_ != nullptr) stats_->hits++;
+        return spilling->second;
+      }
       if (stats_ != nullptr) stats_->misses++;
       return nullptr;
     }
@@ -117,7 +132,7 @@ class LruCache {
 
   bool Contains(const std::string& key) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.count(key) > 0;
+    return map_.count(key) > 0 || spilling_.count(key) > 0;
   }
 
   void Erase(const std::string& key) {
@@ -208,6 +223,8 @@ class LruCache {
   uint64_t used_ = 0;
   EvictionCallback on_evict_;
   BatchEvictionCallback on_evict_batch_;
+  // Uncharged victims whose eviction callback is running.
+  std::unordered_map<std::string, std::shared_ptr<V>> spilling_;
 };
 
 // Hash-sharded LRU: reduces mutex contention for the hot block-cache path.

@@ -59,6 +59,15 @@ uint64_t SsdBlockCache::FileHash(const std::string& key) const {
   return h & ((uint64_t{1} << hash_bits_) - 1);
 }
 
+uint64_t SsdBlockCache::RunFileHash(
+    const std::vector<std::pair<std::string,
+                                std::shared_ptr<const std::string>>>& blocks)
+    const {
+  std::string keys;
+  for (const auto& block : blocks) PutLengthPrefixedSlice(&keys, block.first);
+  return FileHash(keys);
+}
+
 std::string SsdBlockCache::PathForHash(uint64_t file_hash) const {
   char name[32];
   snprintf(name, sizeof(name), "%016llx.blk",
@@ -67,63 +76,28 @@ std::string SsdBlockCache::PathForHash(uint64_t file_hash) const {
 }
 
 void SsdBlockCache::Insert(const std::string& key, const std::string& data) {
-  if (data.size() > capacity_) return;
-  const uint64_t file_hash = FileHash(key);
-  const std::string path = PathForHash(file_hash);
-
-  std::string payload;
-  payload.reserve(kHeaderFixedSize + key.size() + data.size());
-  AppendBlockRecord(&payload, key, data);
-
-  bool written = false;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-      written = static_cast<bool>(out);
-    }
-  }
-  if (!written) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // The file was just overwritten (or destroyed on a failed write): every
-  // key whose bytes previously lived in it no longer has them on disk.
-  DetachFileOwnersLocked(file_hash);
-  if (!written) {  // best effort: drop all bookkeeping for this key
-    DetachEntryLocked(key, /*unlink_empty=*/false);
-    return;
-  }
-  if (stats_ != nullptr) stats_->inserts++;
-  RecordInsertLocked(key, file_hash, /*header_offset=*/0, data.size());
-  EvictLocked();
+  InsertBatch({{key, std::make_shared<const std::string>(data)}});
 }
 
 void SsdBlockCache::InsertBatch(
     const std::vector<std::pair<std::string, std::shared_ptr<const std::string>>>&
         blocks) {
-  if (blocks.empty()) return;
-  if (blocks.size() == 1) {
-    Insert(blocks[0].first, *blocks[0].second);
-    return;
-  }
   uint64_t total = 0;
   for (const auto& [key, data] : blocks) {
     total += kHeaderFixedSize + key.size() + data->size();
   }
-  if (total > capacity_) {
+  if (blocks.size() > 1 && total > capacity_) {
     // A run this large would immediately evict itself; store the pieces
     // individually so each is subject to its own capacity check.
-    for (const auto& [key, data] : blocks) Insert(key, *data);
+    for (const auto& block : blocks) InsertBatch({block});
     return;
   }
+  if (blocks.empty() || blocks[0].second->size() > capacity_) return;
 
-  // One run file named by the first key's hash; blocks laid out back to
-  // back, each with its own verifiable header.
-  const uint64_t file_hash = FileHash(blocks[0].first);
-  const std::string path = PathForHash(file_hash);
+  // Blocks laid out back to back, each with its own verifiable header. A
+  // lone block's file is named by its key's hash, a run file by a hash of
+  // all its keys, so re-spilling some of them never replaces a file that
+  // still holds the others.
   std::string payload;
   payload.reserve(total);
   std::vector<uint64_t> offsets;
@@ -132,24 +106,31 @@ void SsdBlockCache::InsertBatch(
     offsets.push_back(payload.size());
     AppendBlockRecord(&payload, key, *data);
   }
-
+  const uint64_t file_hash = blocks.size() == 1 ? FileHash(blocks[0].first)
+                                                : RunFileHash(blocks);
+  // Written under a name of its own outside the mutex, and renamed into
+  // place under it together with the index update.
+  char name[32];
+  snprintf(name, sizeof(name), "%016llx.tmp",
+           static_cast<unsigned long long>(next_tmp_.fetch_add(1)));
+  const std::string tmp = dir_ + "/" + name;
   bool written = false;
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (out) {
       out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
       written = static_cast<bool>(out);
     }
   }
-  if (!written) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-
   std::lock_guard<std::mutex> lock(mu_);
+  if (!written || ::rename(tmp.c_str(), PathForHash(file_hash).c_str()) != 0) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    return;
+  }
+  // Every key whose bytes lived in the replaced file no longer has them.
   DetachFileOwnersLocked(file_hash);
-  if (!written) return;
-  run_spills_++;
+  if (blocks.size() > 1) run_spills_++;
   for (size_t i = 0; i < blocks.size(); ++i) {
     // A duplicate key inside one batch would leave a dangling offset; keep
     // the first occurrence (later ones are unreachable bytes in the file).
@@ -187,7 +168,8 @@ std::shared_ptr<std::string> SsdBlockCache::ReadVerified(
   return data;
 }
 
-std::shared_ptr<const std::string> SsdBlockCache::Get(const std::string& key) {
+std::shared_ptr<const std::string> SsdBlockCache::Get(const std::string& key,
+                                                     uint64_t* version) {
   Located loc;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -200,7 +182,7 @@ std::shared_ptr<const std::string> SsdBlockCache::Get(const std::string& key) {
     lru_.push_front(key);
     it->second.lru_pos = lru_.begin();
     loc = {0, key, it->second.file_hash, it->second.header_offset,
-           it->second.size};
+           it->second.size, it->second.version};
   }
 
   // Hit-path IO runs outside mu_ — the mutex above covered only the index
@@ -223,20 +205,22 @@ std::shared_ptr<const std::string> SsdBlockCache::Get(const std::string& key) {
   }
 
   if (data == nullptr) {
-    // The file is gone, unreadable, or holds another key's bytes: the index
-    // entry is stale — drop it and report a miss rather than wrong data.
+    // The file is gone, unreadable, or holds another key's bytes: drop the
+    // stale entry read (not a newer one) and miss rather than serve it.
     std::lock_guard<std::mutex> lock(mu_);
-    DetachEntryLocked(key, /*unlink_empty=*/false);
+    DetachEntryLocked(key, loc.version, /*unlink_empty=*/false);
     if (stats_ != nullptr) stats_->misses++;
     return nullptr;
   }
   if (stats_ != nullptr) stats_->hits++;
+  if (version != nullptr) *version = loc.version;
   return data;
 }
 
 std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
-    const std::vector<std::string>& keys) {
+    const std::vector<std::string>& keys, std::vector<uint64_t>* versions) {
   std::vector<std::shared_ptr<const std::string>> out(keys.size());
+  if (versions != nullptr) versions->assign(keys.size(), 0);
   std::vector<Located> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -250,7 +234,8 @@ std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
       lru_.push_front(keys[i]);
       it->second.lru_pos = lru_.begin();
       found.push_back({i, keys[i], it->second.file_hash,
-                       it->second.header_offset, it->second.size});
+                       it->second.header_offset, it->second.size,
+                       it->second.version});
     }
   }
   if (found.empty()) return out;
@@ -263,7 +248,7 @@ std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
                                 ? a.file_hash < b.file_hash
                                 : a.header_offset < b.header_offset;
                    });
-  std::vector<std::string> stale;
+  std::vector<const Located*> stale;
   for (size_t g = 0; g < found.size();) {
     size_t g_end = g + 1;
     while (g_end < found.size() &&
@@ -272,7 +257,7 @@ std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
     }
     const int fd = ::open(PathForHash(found[g].file_hash).c_str(), O_RDONLY);
     if (fd < 0) {
-      for (size_t i = g; i < g_end; ++i) stale.push_back(found[i].key);
+      for (size_t i = g; i < g_end; ++i) stale.push_back(&found[i]);
       g = g_end;
       continue;
     }
@@ -305,8 +290,9 @@ std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
             span.substr(static_cast<size_t>(rel + header_size),
                         static_cast<size_t>(loc.size)));
         if (stats_ != nullptr) stats_->hits++;
+        if (versions != nullptr) (*versions)[loc.slot] = loc.version;
       } else {
-        stale.push_back(loc.key);
+        stale.push_back(&loc);
       }
     }
     g = g_end;
@@ -314,17 +300,17 @@ std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
 
   if (!stale.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& key : stale) {
-      DetachEntryLocked(key, /*unlink_empty=*/false);
+    for (const Located* loc : stale) {
+      DetachEntryLocked(loc->key, loc->version, /*unlink_empty=*/false);
       if (stats_ != nullptr) stats_->misses++;
     }
   }
   return out;
 }
 
-void SsdBlockCache::Erase(const std::string& key) {
+void SsdBlockCache::Erase(const std::string& key, uint64_t version) {
   std::lock_guard<std::mutex> lock(mu_);
-  DetachEntryLocked(key, /*unlink_empty=*/true);
+  DetachEntryLocked(key, version, /*unlink_empty=*/true);
 }
 
 bool SsdBlockCache::Contains(const std::string& key) const {
@@ -345,17 +331,19 @@ size_t SsdBlockCache::entry_count() const {
 void SsdBlockCache::RecordInsertLocked(const std::string& key,
                                        uint64_t file_hash,
                                        uint64_t header_offset, uint64_t size) {
-  DetachEntryLocked(key, /*unlink_empty=*/true);
+  DetachEntryLocked(key, kAnyVersion, /*unlink_empty=*/true);
   lru_.push_front(key);
-  index_[key] = Entry{size, file_hash, header_offset, lru_.begin()};
+  index_[key] =
+      Entry{size, file_hash, header_offset, ++last_version_, lru_.begin()};
   file_owner_[file_hash].push_back(key);
   used_ += size;
 }
 
-void SsdBlockCache::DetachEntryLocked(const std::string& key,
+void SsdBlockCache::DetachEntryLocked(const std::string& key, uint64_t version,
                                       bool unlink_empty) {
   auto it = index_.find(key);
   if (it == index_.end()) return;
+  if (version != kAnyVersion && it->second.version != version) return;
   const uint64_t file_hash = it->second.file_hash;
   used_ -= it->second.size;
   lru_.erase(it->second.lru_pos);
@@ -378,11 +366,7 @@ void SsdBlockCache::DetachFileOwnersLocked(uint64_t file_hash) {
   if (owner == file_owner_.end()) return;
   const std::vector<std::string> keys = owner->second;
   for (const std::string& key : keys) {
-    auto it = index_.find(key);
-    if (it == index_.end()) continue;
-    used_ -= it->second.size;
-    lru_.erase(it->second.lru_pos);
-    index_.erase(it);
+    DetachEntryLocked(key, kAnyVersion, /*unlink_empty=*/false);
   }
   file_owner_.erase(file_hash);
 }
@@ -390,7 +374,7 @@ void SsdBlockCache::DetachFileOwnersLocked(uint64_t file_hash) {
 void SsdBlockCache::EvictLocked() {
   while (used_ > capacity_ && !lru_.empty()) {
     const std::string victim = lru_.back();
-    DetachEntryLocked(victim, /*unlink_empty=*/true);
+    DetachEntryLocked(victim, kAnyVersion, /*unlink_empty=*/true);
     if (stats_ != nullptr) stats_->evictions++;
   }
 }

@@ -29,11 +29,16 @@ namespace logstore::cache {
 // never serve each other's bytes.
 //
 // Adjacent blocks evicted together are spilled through InsertBatch into one
-// run file (named by the first key's hash), and GetBatch reads every
+// run file (named by a hash of all its keys), and GetBatch reads every
 // requested block living in the same file with one coalesced ranged pread —
 // a sequential SSD-resident scan costs a handful of large reads instead of
 // one open/read/close per block. A run file's disk bytes are reclaimed when
 // its last live block is evicted.
+//
+// Under concurrency a block leaves this tier only by capacity eviction, by
+// Erase of the entry a Get returned (its promotion), or by a hash collision
+// of its file's name: files are renamed into place under the mutex, entries
+// are versioned, and run files are named by all their keys (DESIGN §7).
 class SsdBlockCache {
  public:
   // `dir` is created if missing; pre-existing files are ignored (the cache
@@ -61,19 +66,29 @@ class SsdBlockCache {
   // Reads a block back, refreshing recency; nullptr on miss, IO error, or
   // header/key mismatch. The disk read happens outside the cache mutex
   // (with a kernel readahead hint), so concurrent Gets overlap their IO.
-  std::shared_ptr<const std::string> Get(const std::string& key);
+  // On a hit, `version` (when given) receives the version of the entry
+  // read, for Erase.
+  std::shared_ptr<const std::string> Get(const std::string& key,
+                                         uint64_t* version = nullptr);
 
   // Batched lookup: returns one slot per key (nullptr on miss). Blocks that
   // live in the same file are fetched with one coalesced ranged pread.
+  // `versions` (when given) receives one version per slot, as Get.
   std::vector<std::shared_ptr<const std::string>> GetBatch(
-      const std::vector<std::string>& keys);
+      const std::vector<std::string>& keys,
+      std::vector<uint64_t>* versions = nullptr);
 
   bool Contains(const std::string& key) const;
+
+  // Any entry of a key, for Erase.
+  static constexpr uint64_t kAnyVersion = 0;
 
   // Drops `key` and deletes its file if no other live block remains in it
   // (used when a block is promoted to the memory level: the two levels are
   // exclusive, so the SSD copy is released rather than left double-charged).
-  void Erase(const std::string& key);
+  // With a version, only that entry: a promotion passes the version its Get
+  // read, so a newer spill of the same key stays.
+  void Erase(const std::string& key, uint64_t version = kAnyVersion);
 
   uint64_t used_bytes() const;
   size_t entry_count() const;
@@ -102,6 +117,7 @@ class SsdBlockCache {
     uint64_t size;           // data bytes (header excluded)
     uint64_t file_hash;      // file the bytes live in (not always Hash(key))
     uint64_t header_offset;  // offset of this block's header in the file
+    uint64_t version;        // unique per recorded entry, never kAnyVersion
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -112,18 +128,26 @@ class SsdBlockCache {
     uint64_t file_hash;
     uint64_t header_offset;
     uint64_t size;
+    uint64_t version;
   };
 
   uint64_t FileHash(const std::string& key) const;
+  // The name of a run file: a hash over every key it holds.
+  uint64_t RunFileHash(
+      const std::vector<std::pair<std::string,
+                                  std::shared_ptr<const std::string>>>& blocks)
+      const;
   std::string PathForHash(uint64_t file_hash) const;
 
   // Verifies `key`'s header+data at its recorded extent of `fd`; returns
   // the data or nullptr.
   std::shared_ptr<std::string> ReadVerified(int fd, const Located& loc) const;
 
-  // Removes `key` from index_/lru_/used_ and from its file's owner list;
-  // deletes the file when it holds no other live block and `unlink_empty`.
-  void DetachEntryLocked(const std::string& key, bool unlink_empty);
+  // Removes `key`'s entry of `version` (any entry for kAnyVersion) from
+  // index_/lru_/used_ and from its file's owner list; deletes the file when
+  // it holds no other live block and `unlink_empty`.
+  void DetachEntryLocked(const std::string& key, uint64_t version,
+                         bool unlink_empty);
 
   // Drops every live key whose bytes sit in `file_hash` (the file is being
   // overwritten).
@@ -144,6 +168,8 @@ class SsdBlockCache {
   std::unordered_map<uint64_t, std::vector<std::string>> file_owner_;
   std::list<std::string> lru_;  // front = most recent
   uint64_t used_ = 0;
+  uint64_t last_version_ = kAnyVersion;
+  std::atomic<uint64_t> next_tmp_{0};  // temporary file names
   metrics::Counter ranged_reads_{0};
   metrics::Counter run_spills_{0};
 };

@@ -29,7 +29,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
     cluster->options_.worker.raft.registry = cluster->registry_;
   }
   cluster->monitor_cells_.BindTo(cluster->registry_);
-  cluster->query_cells_.BindTo(cluster->options_.engine.registry);
   cluster->availability_cells_.BindTo(cluster->registry_);
   // Shard/worker routing counters: the universe is fixed at deployment
   // time, so the cells are pre-resolved and the write path indexes a
@@ -668,27 +667,6 @@ Status CheckLiveness(const std::vector<std::shared_ptr<Worker>>& workers,
   return Status::OK();
 }
 
-// Scans the realtime rows a query must merge from the live workers of
-// snapshots that passed CheckLiveness.
-std::vector<std::pair<uint32_t, logblock::RowBatch>> CollectRealtime(
-    const query::LogQuery& query,
-    const std::vector<std::shared_ptr<Worker>>& workers,
-    const Controller::PlacementView& placement) {
-  std::vector<std::pair<uint32_t, logblock::RowBatch>> batches;
-  for (uint32_t id = 0; id < workers.size(); ++id) {
-    const bool alive =
-        id < placement.worker_alive.size() && placement.worker_alive[id];
-    // A null slot here is a failed-over worker (CheckLiveness refused the
-    // rest): its tail was re-ingested into survivors. A fenced-out worker's
-    // rows were recovered elsewhere.
-    if (workers[id] == nullptr || !alive) continue;
-    batches.emplace_back(
-        id, workers[id]->ScanRealtime(query.tenant_id, query.ts_min,
-                                      query.ts_max, query.predicates));
-  }
-  return batches;
-}
-
 }  // namespace
 
 Result<query::QueryResult> Cluster::Query(const query::LogQuery& query) {
@@ -705,7 +683,6 @@ Result<query::QueryResult> Cluster::QuerySingleEngine(
 }
 
 Result<query::QueryResult> Cluster::Read(const query::LogQuery& query) {
-  const int64_t start_us = SystemClock::Default()->NowMicros();
   const uint64_t seq = control_seq_.load(std::memory_order_acquire);
   if (seq % 2 != 0) {
     return Status::Unavailable("control mutation in progress; retry");
@@ -717,34 +694,42 @@ Result<query::QueryResult> Cluster::Read(const query::LogQuery& query) {
   // refuses the read before any block is read.
   LOGSTORE_RETURN_IF_ERROR(CheckLiveness(workers, placement));
 
-  query::QueryResult result;
-  LOGSTORE_RETURN_IF_ERROR(
-      engine_->RunBlocks(query, *controller_->metadata(), &result));
-  // Real-time rows from the live workers, merged after the archived rows.
-  // They are scanned after the archived scan: each scan holds its worker's
-  // row-store lock, which that worker's writes need, while it walks every
-  // write the store retains, and at the start of the read it stalls the
-  // writes that arrive together with the read (DESIGN.md §12). A row query
-  // whose archived rows already fill its limit scans no worker: the merge
-  // appends realtime rows after the archived ones and stops at the limit.
-  const bool limit_filled = !query.is_aggregate() && query.limit != 0 &&
-                            result.rows.size() >= query.limit;
-  if (!limit_filled) {
-    LOGSTORE_RETURN_IF_ERROR(query::MergeRealtimeRows(
-        CollectRealtime(query, workers, placement), query, &result));
-  }
-
+  query::ReadContext context;
+  context.schema = &options_.worker.schema;
+  // Real-time rows from the live workers, scanned after the archived scan:
+  // each scan holds its worker's row-store lock, which that worker's writes
+  // need, while it walks every write the store retains, and at the start of
+  // the read it stalls the writes that arrive together with the read
+  // (DESIGN.md §12).
+  context.scan_realtime = [&] {
+    query::RealtimeRows batches;
+    for (uint32_t id = 0; id < workers.size(); ++id) {
+      // A null slot here is a failed-over worker (CheckLiveness refused the
+      // rest): its tail was re-ingested into survivors. A fenced-out
+      // worker's rows were recovered elsewhere.
+      if (workers[id] == nullptr || id >= placement.worker_alive.size() ||
+          !placement.worker_alive[id]) {
+        continue;
+      }
+      batches.emplace_back(
+          id, workers[id]->ScanRealtime(query.tenant_id, query.ts_min,
+                                        query.ts_max, query.predicates));
+    }
+    return batches;
+  };
   // Read fencing (the §12 analogue of the write-side epoch check): any
   // placement move or control mutation since the snapshot invalidates the
   // result — the archived scan and the realtime scans may reflect
-  // different worlds. Retryable, never partial.
-  if (controller_->placement_epoch() != placement.epoch ||
-      control_seq_.load(std::memory_order_acquire) != seq) {
-    return Status::Unavailable("placement changed during the read; retry");
-  }
-  result.stats.elapsed_us = SystemClock::Default()->NowMicros() - start_us;
-  query_cells_.Record(result.stats);
-  return result;
+  // different worlds, and an expiry may have deleted blocks the archived
+  // scan was reading. Retryable, never partial.
+  context.fence = [&]() -> Status {
+    if (controller_->placement_epoch() != placement.epoch ||
+        control_seq_.load(std::memory_order_acquire) != seq) {
+      return Status::Unavailable("placement changed during the read; retry");
+    }
+    return Status::OK();
+  };
+  return engine_->Read(query, *controller_->metadata(), context);
 }
 
 Result<int> Cluster::RunBuildPass() {
@@ -798,6 +783,10 @@ Controller::ControlDecision Cluster::RunTrafficControl() {
 }
 
 Result<int> Cluster::ExpireTenantData(uint64_t tenant, int64_t cutoff_ts) {
+  // A control mutation: a read that overlaps the deletes is fenced
+  // (kUnavailable) instead of failing on a vanished object.
+  std::lock_guard<std::mutex> control_lock(control_mu_);
+  ControlMutation mutation(&control_seq_);
   return controller_->ExpireTenantData(tenant, cutoff_ts, store_);
 }
 

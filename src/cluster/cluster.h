@@ -255,9 +255,9 @@ class Cluster {
 
   // The one read path behind Query and QuerySingleEngine: snapshots the
   // control seqlock, placement and workers, applies the liveness rule (so a
-  // dead worker refuses the read before any block is read), runs the
-  // archived blocks through the engine's RunBlocks, then scans and merges
-  // the realtime rows, re-checks the fence and records `query.*`.
+  // dead worker refuses the read before any block is read), then runs the
+  // engine's Read with the deployment schema, the live workers' realtime
+  // scans and the seqlock/epoch fence.
   Result<query::QueryResult> Read(const query::LogQuery& query);
 
   // Write() body; the public wrapper classifies the outcome into the
@@ -339,8 +339,6 @@ class Cluster {
     void BindTo(metrics::MetricRegistry* registry);
   };
   MonitorCells monitor_cells_;
-  // `query.*` for cluster reads, bound to the engine's registry.
-  query::QueryCells query_cells_;
 
   // Availability accounting (cluster.availability.*): every broker write
   // and read classified at the moment it returns to the client. The soak

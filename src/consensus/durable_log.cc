@@ -62,15 +62,6 @@ DurableLog::DurableLog(std::string dir, DurableLogOptions options)
 }
 
 DurableLog::~DurableLog() {
-  if (syncer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      syncer_stop_ = true;
-    }
-    syncer_cv_.notify_all();
-    sync_waiters_cv_.notify_all();
-    syncer_.join();
-  }
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -90,45 +81,7 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(const std::string& dir,
   }
   std::unique_ptr<DurableLog> log(new DurableLog(dir, options));
   LOGSTORE_RETURN_IF_ERROR(log->Recover());
-  // The dedicated syncer only exists for kOnSync group commit with a delay
-  // budget; kPerRecord flushes inline per append and kNever not at all.
-  if (options.sync_policy == SyncPolicy::kOnSync &&
-      options.max_sync_delay_us > 0) {
-    log->syncer_ = std::thread([raw = log.get()] { raw->SyncerLoop(); });
-  }
   return log;
-}
-
-void DurableLog::SyncerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!syncer_stop_) {
-    if (pending_syncs_ == 0) {
-      syncer_cv_.wait(
-          lock, [&] { return syncer_stop_ || pending_syncs_ > 0; });
-      continue;
-    }
-    const auto deadline =
-        first_pending_ + std::chrono::microseconds(options_.max_sync_delay_us);
-    const uint32_t batch_floor = std::max<uint32_t>(1, options_.max_sync_batch);
-    if (pending_syncs_ < batch_floor &&
-        std::chrono::steady_clock::now() < deadline) {
-      // Batch not full yet: sleep until the oldest caller's delay budget
-      // expires or enough peers arrive to fill it.
-      syncer_cv_.wait_until(lock, deadline, [&] {
-        return syncer_stop_ || pending_syncs_ >= batch_floor;
-      });
-      continue;  // re-evaluate the flush condition
-    }
-    // Flush: one fsync covers every caller parked so far (and any bytes a
-    // force-sync append already flushed cost nothing — FsyncActive early-
-    // returns). FsyncActive wakes the waiters on success AND on failure.
-    pending_syncs_ = 0;
-    if (dead_) {
-      sync_waiters_cv_.notify_all();
-      continue;
-    }
-    (void)FsyncActive();
-  }
 }
 
 Status DurableLog::Recover() {
@@ -360,18 +313,13 @@ Status DurableLog::FsyncActive() {
     // have discarded the dirty pages, so no later fsync can be trusted to
     // cover the records written since the last good one.
     failed_ = Status::IOError("wal: fsync failed (injected EIO); log wedged");
-    sync_waiters_cv_.notify_all();
     return failed_;
   }
   if (::fsync(fd_) != 0) {
     failed_ = Status::IOError("wal: fsync failed; log wedged");
-    sync_waiters_cv_.notify_all();
     return failed_;
   }
   synced_bytes_ = written_bytes_;
-  // Any flush can cover callers parked on the background syncer (a force-
-  // sync append or rotation flushes everything written so far): wake them.
-  sync_waiters_cv_.notify_all();
   return Status::OK();
 }
 
@@ -535,30 +483,13 @@ Status DurableLog::DeleteSegmentsBelowWatermark() {
 }
 
 Status DurableLog::Sync() {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ++sync_batches_;
   if (dead_) return Status::IOError("wal: simulated crash; reopen required");
   if (options_.sync_policy == SyncPolicy::kNever) return Status::OK();
-  if (!SyncerEnabled()) {
-    // Group commit: FsyncActive early-returns when a concurrent Sync that
-    // held the mutex first already flushed everything written so far.
-    return FsyncActive();
-  }
-  // Dedicated-syncer mode: park on the batch and let the syncer thread
-  // issue one fsync for everyone, once the batch fills or the oldest
-  // caller has waited max_sync_delay_us.
-  if (!failed_.ok()) return failed_;
-  if (synced_bytes_ == written_bytes_) return Status::OK();  // already covered
-  const uint64_t target = written_bytes_;
-  if (pending_syncs_ == 0) first_pending_ = std::chrono::steady_clock::now();
-  ++pending_syncs_;
-  syncer_cv_.notify_one();
-  sync_waiters_cv_.wait(lock, [&] {
-    return dead_ || syncer_stop_ || !failed_.ok() || synced_bytes_ >= target;
-  });
-  if (!failed_.ok()) return failed_;
-  if (synced_bytes_ >= target) return Status::OK();
-  return Status::IOError("wal: log closed before the batched fsync");
+  // Group commit: FsyncActive early-returns when a concurrent Sync that
+  // held the mutex first already flushed everything written so far.
+  return FsyncActive();
 }
 
 void DurableLog::InjectAppendErrors(int count, bool partial_write) {
@@ -592,9 +523,6 @@ Status DurableLog::SimulateCrash(CrashMode mode, uint64_t seed) {
     fd_ = -1;
   }
   dead_ = true;
-  // Callers parked on the background syncer observe the crash, not a hang.
-  sync_waiters_cv_.notify_all();
-  syncer_cv_.notify_all();
   if (written_bytes_ == 0) return Status::OK();
 
   Random rng(seed);

@@ -1,13 +1,10 @@
 #ifndef LOGSTORE_CONSENSUS_DURABLE_LOG_H_
 #define LOGSTORE_CONSENSUS_DURABLE_LOG_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -34,18 +31,6 @@ struct DurableLogOptions {
   SyncPolicy sync_policy = SyncPolicy::kPerRecord;
   // Active segment is sealed and a new one started past this size.
   uint64_t segment_target_bytes = 4ull << 20;
-  // BtrLog-style group commit with a dedicated syncer thread: when > 0 (and
-  // the policy is kOnSync), Sync() parks the caller on a background syncer
-  // instead of flushing inline. The syncer issues ONE fsync covering every
-  // parked caller once max_sync_batch Sync()s are pending or the oldest has
-  // waited this long — trading bounded latency for fewer, fuller batches.
-  // 0 (the default) keeps the inline group-commit behavior, where batching
-  // only happens when callers contend on the log mutex.
-  // `sync_batches`/`fsyncs_issued` accounting is identical in both modes:
-  // every Sync() counts one batch; only real flushes count an fsync.
-  int64_t max_sync_delay_us = 0;
-  // Pending Sync() callers that trigger an immediate flush (>= 1).
-  uint32_t max_sync_batch = 32;
   // Registry receiving the `wal.*` aggregates; nullptr means the
   // process-wide default.
   metrics::MetricRegistry* registry = nullptr;
@@ -153,11 +138,6 @@ class DurableLog : public RaftPersistence {
   DurableLog(std::string dir, DurableLogOptions options);
 
   Status Recover();
-  // The dedicated group-commit thread (max_sync_delay_us > 0): waits for
-  // pending Sync() callers, flushes once the batch fills or the oldest
-  // caller's delay budget expires.
-  void SyncerLoop();
-  bool SyncerEnabled() const { return syncer_.joinable(); }
   // Appends one record, framed by FrameRecord, to the active segment,
   // creating/rotating segments as needed. `force_sync` overrides kOnSync (hard state).
   // Callers hold mu_ (all private mutators assume mu_ held).
@@ -202,15 +182,6 @@ class DurableLog : public RaftPersistence {
   uint64_t synced_bytes_ = 0;       // covered by the last fsync
   uint64_t last_record_offset_ = 0;  // start of the newest record
   bool dead_ = false;               // SimulateCrash was called
-
-  // Background-syncer state (all under mu_ except the thread handle, which
-  // only Open and the destructor touch).
-  std::thread syncer_;
-  std::condition_variable syncer_cv_;        // wakes the syncer
-  std::condition_variable sync_waiters_cv_;  // wakes parked Sync() callers
-  bool syncer_stop_ = false;
-  uint64_t pending_syncs_ = 0;  // parked callers awaiting the next flush
-  std::chrono::steady_clock::time_point first_pending_{};
 
   metrics::Counter fsyncs_issued_{0};
   metrics::Counter sync_batches_{0};

@@ -204,24 +204,26 @@ Result<int> LogStore::Flush() {
 
 Result<query::QueryResult> LogStore::Query(const query::LogQuery& query) {
   ++queries_;
-  auto result = engine_->Execute(query, metadata_);
-  if (!result.ok()) return result.status();
-  logblock::RowBatch realtime = row_store_->ScanTenant(
-      query.tenant_id, query.ts_min, query.ts_max, query.predicates);
-  std::vector<std::pair<uint32_t, logblock::RowBatch>> batches;
-  batches.emplace_back(0, std::move(realtime));
-  LOGSTORE_RETURN_IF_ERROR(
-      query::MergeRealtimeRows(std::move(batches), query, &result.value()));
-  return result;
+  query::ReadContext context;
+  context.schema = &options_.schema;
+  context.scan_realtime = [&] {
+    query::RealtimeRows batches;
+    batches.emplace_back(0, row_store_->ScanTenant(query.tenant_id,
+                                                   query.ts_min, query.ts_max,
+                                                   query.predicates));
+    return batches;
+  };
+  return engine_->Read(query, metadata_, context);
 }
 
 Result<int> LogStore::Expire(uint64_t tenant, int64_t cutoff_ts) {
   const auto expired = metadata_.ExpireBefore(tenant, cutoff_ts);
+  if (expired.empty()) return 0;
+  // The catalog stops naming the blocks before their objects go: a failure
+  // leaves orphan objects, never a catalog entry naming a deleted object.
+  LOGSTORE_RETURN_IF_ERROR(CheckpointCatalog());
   for (const auto& entry : expired) {
     LOGSTORE_RETURN_IF_ERROR(catalog_store()->Delete(entry.object_key));
-  }
-  if (!expired.empty()) {
-    LOGSTORE_RETURN_IF_ERROR(CheckpointCatalog());
   }
   blocks_expired_ += expired.size();
   return static_cast<int>(expired.size());

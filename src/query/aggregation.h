@@ -2,9 +2,13 @@
 #define LOGSTORE_QUERY_AGGREGATION_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "logblock/row_batch.h"
@@ -127,11 +131,60 @@ struct AggResult {
   }
 };
 
-// Renders one cell the way kGroupCount keys it (int64 values are
-// decimal-formatted), shared with GroupCountTopK for bit-equal keys.
-inline std::string GroupKeyOf(const logblock::Value& v) {
-  return v.type == logblock::ColumnType::kInt64 ? std::to_string(v.i) : v.s;
-}
+// The one fold of matching rows, archived or realtime, into a partial
+// aggregate: Add the aggregated column's value of each matching row (none
+// for kCount), then Finish once with the number of matching rows. Int64
+// group keys are decimal, by std::to_chars.
+class AggFold {
+ public:
+  explicit AggFold(Aggregate::Kind kind) { result_.kind = kind; }
+
+  void Add(int64_t v) {
+    switch (result_.kind) {
+      case Aggregate::Kind::kSum:
+        result_.sum += v;
+        break;
+      case Aggregate::Kind::kMin:
+        result_.min = std::min(result_.min, v);
+        break;
+      case Aggregate::Kind::kMax:
+        result_.max = std::max(result_.max, v);
+        break;
+      case Aggregate::Kind::kGroupCount: {
+        char key[24];
+        const auto end = std::to_chars(key, key + sizeof(key), v);
+        CountGroup(std::string_view(key, end.ptr - key));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  // Only groups fold strings: Bind refuses sum/min/max over one.
+  void Add(std::string_view v) {
+    if (result_.kind == Aggregate::Kind::kGroupCount) CountGroup(v);
+  }
+
+  AggResult Finish(uint64_t rows) {
+    result_.rows = rows;
+    result_.groups.reserve(groups_.size());
+    for (auto& [key, count] : groups_) {
+      result_.groups.push_back({key, count});  // ascending by key: canonical
+    }
+    return std::move(result_);
+  }
+
+ private:
+  // A row whose group exists costs no allocation.
+  void CountGroup(std::string_view key) {
+    auto it = groups_.find(key);
+    if (it == groups_.end()) it = groups_.emplace(std::string(key), 0).first;
+    ++it->second;
+  }
+
+  AggResult result_;
+  std::map<std::string, uint64_t, std::less<>> groups_;
+};
 
 }  // namespace logstore::query
 

@@ -1,11 +1,8 @@
 #include "query/block_executor.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <functional>
 #include <map>
-#include <string_view>
 #include <utility>
 
 #include "index/rowid_set.h"
@@ -19,14 +16,6 @@ using logblock::ColumnType;
 using logblock::IndexType;
 using logblock::LogBlockReader;
 using logblock::Value;
-
-// A predicate bound to a column ordinal. For kMatch the query text is
-// tokenized ONCE here, not per row in the scan loop.
-struct BoundPredicate {
-  Predicate pred;
-  size_t col = 0;
-  std::vector<std::string> match_tokens;
-};
 
 }  // namespace
 
@@ -64,52 +53,23 @@ class DecodedBlockCache {
 
 namespace {
 
-// True if the whole LogBlock can be skipped for `bp` using column SMA.
-bool ColumnSmaSkips(const LogBlockReader& reader, const BoundPredicate& bp) {
-  const auto& col_meta = reader.meta().columns[bp.col];
-  switch (bp.pred.kind) {
-    case Predicate::Kind::kInt64Compare: {
-      if (bp.pred.op == CompareOp::kNe) return false;
-      const auto [lo, hi] = bp.pred.Int64Interval();
-      return col_meta.int_sma.DisjointWith(lo, hi);
-    }
-    case Predicate::Kind::kStringEq:
-      return col_meta.str_sma.Excludes(bp.pred.str_value);
-    case Predicate::Kind::kMatch:
-      return false;  // no SMA shortcut for full text
-  }
-  return false;
-}
-
-// True if column block `b` can be skipped for `bp` using block SMA.
-bool BlockSmaSkips(const logblock::ColumnBlockMeta& block,
-                   const BoundPredicate& bp) {
-  switch (bp.pred.kind) {
-    case Predicate::Kind::kInt64Compare: {
-      if (bp.pred.op == CompareOp::kNe) return false;
-      const auto [lo, hi] = bp.pred.Int64Interval();
-      return block.int_sma.DisjointWith(lo, hi);
-    }
-    case Predicate::Kind::kStringEq:
-      return block.str_sma.Excludes(bp.pred.str_value);
-    case Predicate::Kind::kMatch:
-      return false;
-  }
-  return false;
+// True if the column SMA of a LogBlock, or the block SMA of one of its
+// column blocks, proves no row satisfies `bp`: the rows can be skipped.
+// Full text has no SMA shortcut.
+bool SmaSkips(const index::Int64Sma& int_sma, const index::StringSma& str_sma,
+              const BoundPredicate& bp) {
+  return bp.pred.kind == Predicate::Kind::kStringEq
+             ? str_sma.Excludes(bp.pred.str_value)
+             : SmaExcludes(bp, int_sma);
 }
 
 // True if block SMA proves every row of `block` satisfies `bp`, so a scan
-// would keep all of them: the mirror of BlockSmaSkips. Only an SMA that
-// covers every row of the block can prove it.
+// would keep all of them: the mirror of SmaSkips. Only an SMA that covers
+// every row of the block can prove it.
 bool BlockSmaCovers(const logblock::ColumnBlockMeta& block,
                     const BoundPredicate& bp) {
-  if (bp.pred.kind != Predicate::Kind::kInt64Compare ||
-      bp.pred.op == CompareOp::kNe) {
-    return false;
-  }
-  const auto [lo, hi] = bp.pred.Int64Interval();
   return block.int_sma.row_count == block.row_count &&
-         block.int_sma.Within(lo, hi);
+         SmaCovers(bp, block.int_sma);
 }
 
 // True if the index of this column can serve the predicate.
@@ -187,7 +147,8 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
       ++stats->column_blocks_skipped;
       continue;
     }
-    if (options.use_data_skipping && BlockSmaSkips(block, bp)) {
+    if (options.use_data_skipping &&
+        SmaSkips(block.int_sma, block.str_sma, bp)) {
       // Block SMA proves no row in this block matches: drop them all.
       candidates->RemoveRange(block.first_row, block_end);
       ++stats->column_blocks_skipped;
@@ -222,24 +183,10 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
 
     words.assign((block.row_count + 63) / 64, 0);
     const auto kernel_start = std::chrono::steady_clock::now();
-    uint32_t hits = 0;
-    switch (bp.pred.kind) {
-      case Predicate::Kind::kInt64Compare:
-        hits = vectorized::FilterInt64Compare((*decoded)->ints.data(),
-                                              block.row_count, bp.pred.op,
-                                              bp.pred.int_value, words.data());
-        break;
-      case Predicate::Kind::kStringEq:
-        hits = vectorized::FilterStringEq((*decoded)->strs.data(),
-                                          block.row_count, bp.pred.str_value,
-                                          words.data());
-        break;
-      case Predicate::Kind::kMatch:
-        hits = vectorized::FilterMatchTokens((*decoded)->strs.data(),
-                                             block.row_count, bp.match_tokens,
-                                             words.data());
-        break;
-    }
+    const uint32_t hits =
+        vectorized::Filter(bp, (*decoded)->ints.data(),
+                           (*decoded)->strs.data(), block.row_count,
+                           words.data());
     stats->vectorized_kernel_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - kernel_start)
@@ -256,30 +203,18 @@ Status ApplyResidual(LogBlockReader* reader, const BoundPredicate& bp,
 // decoded column vectors — no row materialization, no projection IO beyond
 // the aggregated column (kCount needs no data IO at all).
 Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
-                           const ExecOptions& options,
+                           const BoundQuery& bound, const ExecOptions& options,
                            const index::RowIdSet& candidates,
                            DecodedBlockCache* cache, BlockExecResult* result) {
-  const logblock::Schema& schema = reader->schema();
-  result->agg.kind = query.agg.kind;
   const uint64_t matched = candidates.Count();
   result->stats.rows_matched = matched;
-  if (query.agg.kind == Aggregate::Kind::kCount) {
-    result->agg.rows = matched;
+  AggFold fold(query.agg.kind);
+  if (query.agg.kind == Aggregate::Kind::kCount || matched == 0) {
+    result->agg = fold.Finish(matched);
     return Status::OK();
   }
-  if (matched == 0) return Status::OK();
 
-  const int col = schema.FindColumn(query.agg.column);
-  if (col < 0) {
-    return Status::InvalidArgument("unknown aggregate column: " +
-                                   query.agg.column);
-  }
-  const bool is_int = schema.column(col).type == ColumnType::kInt64;
-  if (query.agg.kind != Aggregate::Kind::kGroupCount && !is_int) {
-    return Status::InvalidArgument("aggregate requires an int64 column: " +
-                                   query.agg.column);
-  }
-
+  const size_t col = bound.agg_col;
   const auto& blocks = reader->meta().columns[col].blocks;
   std::vector<size_t> to_scan;
   for (size_t b = 0; b < blocks.size(); ++b) {
@@ -299,18 +234,6 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
     (void)reader->Prefetch(ranges, options.prefetch_owner);
   }
 
-  // Keyed lookups take a view, so a row whose group already exists costs
-  // no allocation; int keys are formatted into a stack buffer the same way
-  // std::to_string formats them.
-  std::map<std::string, uint64_t, std::less<>> group_counts;
-  auto count_group = [&group_counts](std::string_view key) {
-    auto it = group_counts.find(key);
-    if (it == group_counts.end()) {
-      it = group_counts.emplace(std::string(key), 0).first;
-    }
-    ++it->second;
-  };
-  char int_key[24];
   for (size_t b : to_scan) {
     if (Cancelled(options)) return CancelledStatus();
     auto decoded = cache->Get(col, b, &result->stats);
@@ -318,41 +241,12 @@ Status AggregateCandidates(LogBlockReader* reader, const LogQuery& query,
     const auto& block = blocks[b];
     const logblock::DecodedColumnBlock& vec = **decoded;
     candidates.ForEachInRange(
-        block.first_row, block.first_row + block.row_count,
-        [&](uint32_t r) {
+        block.first_row, block.first_row + block.row_count, [&](uint32_t r) {
           const uint32_t off = r - block.first_row;
-          switch (query.agg.kind) {
-            case Aggregate::Kind::kSum:
-              result->agg.sum += vec.ints[off];
-              break;
-            case Aggregate::Kind::kMin:
-              result->agg.min = std::min(result->agg.min, vec.ints[off]);
-              break;
-            case Aggregate::Kind::kMax:
-              result->agg.max = std::max(result->agg.max, vec.ints[off]);
-              break;
-            case Aggregate::Kind::kGroupCount:
-              if (is_int) {
-                const auto end = std::to_chars(
-                    int_key, int_key + sizeof(int_key), vec.ints[off]);
-                count_group(std::string_view(int_key, end.ptr - int_key));
-              } else {
-                count_group(vec.strs[off]);
-              }
-              break;
-            case Aggregate::Kind::kNone:
-            case Aggregate::Kind::kCount:
-              break;  // handled above
-          }
+          bound.agg_is_int ? fold.Add(vec.ints[off]) : fold.Add(vec.strs[off]);
         });
   }
-  result->agg.rows = matched;
-  if (query.agg.kind == Aggregate::Kind::kGroupCount) {
-    result->agg.groups.reserve(group_counts.size());
-    for (auto& [key, count] : group_counts) {
-      result->agg.groups.push_back({key, count});  // ascending by key: canonical
-    }
-  }
+  result->agg = fold.Finish(matched);
   return Status::OK();
 }
 
@@ -374,53 +268,20 @@ FilteredBlock::~FilteredBlock() = default;
 Result<FilteredBlock> FilterLogBlock(LogBlockReader* reader,
                                      const LogQuery& query,
                                      const ExecOptions& options) {
-  const logblock::Schema& schema = reader->schema();
   const uint32_t num_rows = reader->num_rows();
-
-  // Bind predicates (including the ts range) to column ordinals.
-  std::vector<BoundPredicate> preds;
-  auto bind = [&](Predicate pred) -> Status {
-    const int col = schema.FindColumn(pred.column);
-    if (col < 0) {
-      return Status::InvalidArgument("unknown column: " + pred.column);
-    }
-    const ColumnType type = schema.column(col).type;
-    const bool wants_int = pred.kind == Predicate::Kind::kInt64Compare;
-    if (wants_int != (type == ColumnType::kInt64)) {
-      return Status::InvalidArgument("predicate type mismatch on " +
-                                     pred.column);
-    }
-    BoundPredicate bp;
-    if (pred.kind == Predicate::Kind::kMatch) {
-      bp.match_tokens = index::Tokenize(pred.str_value);
-    }
-    bp.pred = std::move(pred);
-    bp.col = static_cast<size_t>(col);
-    preds.push_back(std::move(bp));
-    return Status::OK();
-  };
-
-  if (schema.FindColumn("ts") >= 0) {
-    if (query.ts_min != INT64_MIN) {
-      LOGSTORE_RETURN_IF_ERROR(
-          bind(Predicate::Int64Compare("ts", CompareOp::kGe, query.ts_min)));
-    }
-    if (query.ts_max != INT64_MAX) {
-      LOGSTORE_RETURN_IF_ERROR(
-          bind(Predicate::Int64Compare("ts", CompareOp::kLe, query.ts_max)));
-    }
-  }
-  for (const Predicate& pred : query.predicates) {
-    LOGSTORE_RETURN_IF_ERROR(bind(pred));
-  }
+  auto bound = Bind(query, reader->schema());
+  if (!bound.ok()) return bound.status();
 
   FilteredBlock block(reader, query, options);
   BlockExecStats* stats = &block.result_.stats;
+  block.bound_ = std::move(bound).value();
+  const std::vector<BoundPredicate>& preds = block.bound_.filter;
 
   // Figure 8 step 2: whole-block skip via column SMA.
   if (options.use_data_skipping) {
     for (const BoundPredicate& bp : preds) {
-      if (ColumnSmaSkips(*reader, bp)) {
+      const auto& col_meta = reader->meta().columns[bp.col];
+      if (SmaSkips(col_meta.int_sma, col_meta.str_sma, bp)) {
         stats->skipped_by_column_sma = true;
         return block;
       }
@@ -479,9 +340,9 @@ Result<FilteredBlock> FilterLogBlock(LogBlockReader* reader,
   // Aggregate queries ship a partial aggregate instead of rows: fold the
   // surviving candidates directly over the decoded vectors.
   if (query.is_aggregate()) {
-    LOGSTORE_RETURN_IF_ERROR(AggregateCandidates(reader, query, options,
-                                                 candidates, block.cache_.get(),
-                                                 &block.result_));
+    LOGSTORE_RETURN_IF_ERROR(AggregateCandidates(
+        reader, query, block.bound_, options, candidates, block.cache_.get(),
+        &block.result_));
   }
   block.matched_ = candidates.Count();
   return block;
@@ -497,18 +358,7 @@ Result<BlockExecResult> FilteredBlock::Gather(uint64_t n) {
   const std::vector<uint32_t> rows = candidates_.ToVector(n);
   result_.stats.rows_matched = rows.size();
 
-  std::vector<size_t> out_cols;
-  if (query_->select_columns.empty()) {
-    for (size_t c = 0; c < schema.num_columns(); ++c) out_cols.push_back(c);
-  } else {
-    for (const std::string& name : query_->select_columns) {
-      const int col = schema.FindColumn(name);
-      if (col < 0) {
-        return Status::InvalidArgument("unknown select column: " + name);
-      }
-      out_cols.push_back(static_cast<size_t>(col));
-    }
-  }
+  const std::vector<size_t>& out_cols = bound_.projection;
 
   if (options_.use_prefetch) {
     std::vector<ByteRange> ranges;

@@ -10,6 +10,7 @@
 #include "index/rowid_set.h"
 #include "logblock/logblock_reader.h"
 #include "query/aggregation.h"
+#include "query/bind.h"
 #include "query/predicate.h"
 
 namespace logstore::query {
@@ -115,6 +116,7 @@ class FilteredBlock {
   ExecOptions options_;
   index::RowIdSet candidates_;
   std::unique_ptr<DecodedBlockCache> cache_;
+  BoundQuery bound_;
   uint64_t matched_ = 0;
   BlockExecResult result_;
 };

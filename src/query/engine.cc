@@ -34,72 +34,8 @@ bool RowLess(const std::vector<logblock::Value>& a,
 
 }  // namespace
 
-namespace {
-
-// Folds realtime batches into the merged aggregate. Predicate/time
-// filtering already happened in ScanTenant, so every batch row counts.
-// count/sum/min/max/group-merge are commutative, so the fold is placement-
-// and batch-order-independent without any sorting.
-Status AggregateRealtimeRows(
-    const std::vector<std::pair<uint32_t, logblock::RowBatch>>& batches,
-    const LogQuery& query, QueryResult* result) {
-  AggResult partial;
-  partial.kind = query.agg.kind;
-  std::map<std::string, uint64_t> group_counts;
-  uint64_t rows = 0;
-  for (const auto& [worker, batch] : batches) {
-    if (batch.num_rows() == 0) continue;
-    rows += batch.num_rows();
-    if (query.agg.kind == Aggregate::Kind::kCount) continue;
-    const logblock::Schema& schema = batch.schema();
-    const int col = schema.FindColumn(query.agg.column);
-    if (col < 0) {
-      return Status::InvalidArgument("unknown aggregate column: " +
-                                     query.agg.column);
-    }
-    const bool is_int =
-        schema.column(col).type == logblock::ColumnType::kInt64;
-    if (query.agg.kind != Aggregate::Kind::kGroupCount && !is_int) {
-      return Status::InvalidArgument("aggregate requires an int64 column: " +
-                                     query.agg.column);
-    }
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      switch (query.agg.kind) {
-        case Aggregate::Kind::kSum:
-          partial.sum += batch.Int64At(col, r);
-          break;
-        case Aggregate::Kind::kMin:
-          partial.min = std::min(partial.min, batch.Int64At(col, r));
-          break;
-        case Aggregate::Kind::kMax:
-          partial.max = std::max(partial.max, batch.Int64At(col, r));
-          break;
-        case Aggregate::Kind::kGroupCount:
-          group_counts[GroupKeyOf(batch.ValueAt(col, r))]++;
-          break;
-        case Aggregate::Kind::kNone:
-        case Aggregate::Kind::kCount:
-          break;
-      }
-    }
-  }
-  partial.rows = rows;
-  partial.groups.reserve(group_counts.size());
-  for (auto& [key, count] : group_counts) partial.groups.push_back({key, count});
-  result->agg.MergeFrom(partial);
-  result->stats.realtime_rows += rows;
-  result->stats.exec.rows_matched += rows;
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MergeRealtimeRows(
-    std::vector<std::pair<uint32_t, logblock::RowBatch>> batches,
-    const LogQuery& query, QueryResult* result) {
-  if (query.is_aggregate()) {
-    return AggregateRealtimeRows(batches, query, result);
-  }
+Status MergeRealtimeRows(RealtimeRows batches, const LogQuery& query,
+                         QueryResult* result) {
   // One projected row awaiting the deterministic sort. `worker`/`row_idx`
   // are final tie-breakers only: two rows compared by them are already
   // byte-identical in ts and projected content, so their relative order
@@ -112,10 +48,29 @@ Status MergeRealtimeRows(
     uint32_t row_idx = 0;
   };
   std::vector<PendingRow> rows;
+  // Aggregates fold every row with the fold LogBlocks use; count, sum,
+  // min, max and group merges are commutative, so batch order cannot
+  // matter.
+  AggFold fold(query.agg.kind);
+  uint64_t folded = 0;
 
   for (auto& [worker, batch] : batches) {
     if (batch.num_rows() == 0) continue;
     const logblock::Schema& schema = batch.schema();
+    auto bound = Bind(query, schema);
+    if (!bound.ok()) return bound.status();
+    if (query.is_aggregate()) {
+      folded += batch.num_rows();
+      if (query.agg.kind == Aggregate::Kind::kCount) continue;
+      if (bound->agg_is_int) {
+        for (int64_t v : batch.Int64Column(bound->agg_col)) fold.Add(v);
+      } else {
+        for (const std::string& v : batch.StringColumn(bound->agg_col)) {
+          fold.Add(std::string_view(v));
+        }
+      }
+      continue;
+    }
     if (result->columns.empty()) {
       if (query.select_columns.empty()) {
         for (const auto& col : schema.columns()) {
@@ -125,23 +80,23 @@ Status MergeRealtimeRows(
         result->columns = query.select_columns;
       }
     }
-    std::vector<size_t> out_cols;
-    out_cols.reserve(result->columns.size());
-    for (const std::string& name : result->columns) {
-      const int col = schema.FindColumn(name);
-      if (col < 0) return Status::InvalidArgument("unknown column: " + name);
-      out_cols.push_back(static_cast<size_t>(col));
-    }
-    const int ts_col = schema.FindColumn("ts");
     for (uint32_t r = 0; r < batch.num_rows(); ++r) {
       PendingRow pending;
-      pending.ts = ts_col < 0 ? 0 : batch.Int64At(ts_col, r);
-      pending.row.reserve(out_cols.size());
-      for (size_t c : out_cols) pending.row.push_back(batch.ValueAt(c, r));
+      pending.ts = bound->ts_col < 0 ? 0 : batch.Int64At(bound->ts_col, r);
+      pending.row.reserve(bound->projection.size());
+      for (size_t c : bound->projection) {
+        pending.row.push_back(batch.ValueAt(c, r));
+      }
       pending.worker = worker;
       pending.row_idx = r;
       rows.push_back(std::move(pending));
     }
+  }
+  if (query.is_aggregate()) {
+    result->agg.MergeFrom(fold.Finish(folded));
+    result->stats.realtime_rows += folded;
+    result->stats.exec.rows_matched += folded;
+    return Status::OK();
   }
 
   std::sort(rows.begin(), rows.end(),
@@ -429,9 +384,42 @@ Result<std::shared_ptr<logblock::LogBlockReader>> QueryEngine::OpenReader(
 
 Result<QueryResult> QueryEngine::Execute(const LogQuery& query,
                                          const logblock::LogBlockMap& map) {
+  return Read(query, map, {});
+}
+
+Result<QueryResult> QueryEngine::Read(const LogQuery& query,
+                                      const logblock::LogBlockMap& map,
+                                      const ReadContext& context) {
   const int64_t start_us = SystemClock::Default()->NowMicros();
   QueryResult result;
-  LOGSTORE_RETURN_IF_ERROR(RunBlocks(query, map, &result));
+  if (context.schema != nullptr) {
+    auto bound = Bind(query, *context.schema);
+    if (!bound.ok()) return bound.status();
+    if (query.select_columns.empty()) {
+      for (const auto& col : context.schema->columns()) {
+        result.columns.push_back(col.name);
+      }
+    } else {
+      result.columns = query.select_columns;
+    }
+  }
+  const Status scanned = RunBlocks(query, map, &result);
+  if (!scanned.ok()) {
+    // A scan that overlapped a fenced change (an expiry deleting its
+    // objects, a move) fails as the fence says: retryable.
+    if (context.fence) LOGSTORE_RETURN_IF_ERROR(context.fence());
+    return scanned;
+  }
+  // A row query whose archived rows already fill its limit scans no
+  // realtime rows: the merge appends them after the archived ones and
+  // stops at the limit.
+  const bool limit_filled = !query.is_aggregate() && query.limit != 0 &&
+                            result.rows.size() >= query.limit;
+  if (context.scan_realtime && !limit_filled) {
+    LOGSTORE_RETURN_IF_ERROR(
+        MergeRealtimeRows(context.scan_realtime(), query, &result));
+  }
+  if (context.fence) LOGSTORE_RETURN_IF_ERROR(context.fence());
   result.stats.elapsed_us = SystemClock::Default()->NowMicros() - start_us;
   query_cells_.Record(result.stats);
   return result;

@@ -2,6 +2,7 @@
 #define LOGSTORE_QUERY_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -77,9 +78,8 @@ struct QueryStats {
 };
 
 // Registry cells for whole-query accounting (`query.*`). QueryStats is a
-// value type merged across a query's blocks, so each read path —
-// QueryEngine::Execute and the cluster read — records the final stats once
-// per query rather than per increment.
+// value type merged across a query's blocks, so QueryEngine::Read records
+// the final stats once per answered query rather than per increment.
 struct QueryCells {
   std::atomic<uint64_t>* queries = nullptr;
   std::atomic<uint64_t>* rows_matched = nullptr;
@@ -111,21 +111,30 @@ struct QueryResult {
   QueryStats stats;
 };
 
-// Broker-side merge of real-time (not yet archived) rows into a query
-// result, applying the projection and limit. Predicate/time filtering must
-// already have been applied to each batch (RowStore::ScanTenant does).
-//
-// Rows are appended after the archived rows in a deterministic, placement-
-// independent order — (timestamp, projected row content, worker, row) — so
-// a limit query returns the same bytes no matter which worker holds which
-// rows. Appended rows are accounted in QueryStats::realtime_rows and
-// exec.rows_matched.
-//
-// For an aggregate query the batches are folded into result->agg instead of
-// appended (all combines are commutative, so batch order cannot matter).
-Status MergeRealtimeRows(
-    std::vector<std::pair<uint32_t, logblock::RowBatch>> batches,
-    const LogQuery& query, QueryResult* result);
+// A read's realtime (not yet archived) rows: one filtered batch per worker.
+using RealtimeRows = std::vector<std::pair<uint32_t, logblock::RowBatch>>;
+
+// Broker-side merge of realtime rows into a query result, applying the
+// projection (bound per batch) and limit to rows RowStore::ScanTenant
+// already filtered. Rows are appended after the archived rows in a
+// deterministic, placement-independent order — (timestamp, projected row
+// content, worker, row) — so a limit query returns the same bytes no matter
+// which worker holds which rows, and are accounted in
+// QueryStats::realtime_rows and exec.rows_matched. An aggregate folds the
+// batches into result->agg with the fold LogBlocks use (AggFold).
+Status MergeRealtimeRows(RealtimeRows batches, const LogQuery& query,
+                         QueryResult* result);
+
+// What a read takes from its deployment besides the LogBlock map.
+struct ReadContext {
+  // Binds the query before any scan; nullptr: only each LogBlock does.
+  const logblock::Schema* schema = nullptr;
+  // Scans the realtime rows; unset: the read merges none.
+  std::function<RealtimeRows()> scan_realtime;
+  // Checked once the scans are done (also after a failed archived scan);
+  // a failure replaces the answer and the read records nothing.
+  std::function<Status()> fence;
+};
 
 // Executes single-tenant log queries against LogBlocks on the object store,
 // applying the full optimization stack of §5: LogBlock-map pruning, data
@@ -140,22 +149,18 @@ class QueryEngine {
   static Result<std::unique_ptr<QueryEngine>> Open(
       objectstore::ObjectStore* store, const EngineOptions& options = {});
 
-  // The query over every block of `map`: RunBlocks plus the `query.*`
-  // accounting.
+  // The query over every block of `map` alone: Read with no deployment.
   Result<QueryResult> Execute(const LogQuery& query,
                               const logblock::LogBlockMap& map);
 
-  // The archived half of every read: prunes `map` on <tenant, ts range>
-  // and scans the surviving blocks with the §11 scheduler (pipelined head
-  // prefetch; each block filtered, then gathered for its share of the
-  // limit; a stop flag per block and one limit tracker), then merges the
-  // per-block results in block-map order up to the limit cut. Each filter
-  // and each queued gather is one pool task under query.tenant_id. Scans
-  // inline on the calling thread when the engine has no query pool or the
-  // query has one block. Records no metrics: Execute and the cluster read
-  // each record a query's final stats once.
-  Status RunBlocks(const LogQuery& query, const logblock::LogBlockMap& map,
-                   QueryResult* result);
+  // The one read of every deployment (LogStore::Query, Cluster::Read), in
+  // order: bind the query against context.schema, RunBlocks over `map`,
+  // scan the realtime rows unless a row query's archived rows already fill
+  // its limit, MergeRealtimeRows, check context.fence, and record
+  // `query.*` once for the answered query.
+  Result<QueryResult> Read(const LogQuery& query,
+                           const logblock::LogBlockMap& map,
+                           const ReadContext& context);
 
   // Extracts one projected column from a result (for aggregations).
   static std::vector<logblock::Value> Column(const QueryResult& result,
@@ -176,6 +181,17 @@ class QueryEngine {
 
  private:
   QueryEngine(objectstore::ObjectStore* store, const EngineOptions& options);
+
+  // The archived half of every read: prunes `map` on <tenant, ts range>
+  // and scans the surviving blocks with the §11 scheduler (pipelined head
+  // prefetch; each block filtered, then gathered for its share of the
+  // limit; a stop flag per block and one limit tracker), then merges the
+  // per-block results in block-map order up to the limit cut. Each filter
+  // and each queued gather is one pool task under query.tenant_id. Scans
+  // inline on the calling thread when the engine has no query pool or the
+  // query has one block.
+  Status RunBlocks(const LogQuery& query, const logblock::LogBlockMap& map,
+                   QueryResult* result);
 
   // `object_size` is the object's size from the LogBlock map (0 =
   // unknown); reads through the cache are clamped to it.

@@ -111,4 +111,17 @@ uint32_t FilterMatchTokens(const std::string_view* values, uint32_t n,
   });
 }
 
+uint32_t Filter(const BoundPredicate& bp, const int64_t* ints,
+                const std::string_view* strs, uint32_t n, uint64_t* words) {
+  switch (bp.pred.kind) {
+    case Predicate::Kind::kInt64Compare:
+      return FilterInt64Compare(ints, n, bp.pred.op, bp.pred.int_value, words);
+    case Predicate::Kind::kStringEq:
+      return FilterStringEq(strs, n, bp.pred.str_value, words);
+    case Predicate::Kind::kMatch:
+      return FilterMatchTokens(strs, n, bp.match_tokens, words);
+  }
+  return 0;
+}
+
 }  // namespace logstore::query::vectorized

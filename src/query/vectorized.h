@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "query/bind.h"
 #include "query/predicate.h"
 
 namespace logstore::query::vectorized {
@@ -40,6 +41,11 @@ uint32_t FilterStringEq(const std::string_view* values, uint32_t n,
 uint32_t FilterMatchTokens(const std::string_view* values, uint32_t n,
                            const std::vector<std::string>& tokens,
                            uint64_t* words);
+
+// The kernel of `bp` over n values of its column: `ints` for an int64
+// comparison, `strs` otherwise. Archived and realtime rows share it.
+uint32_t Filter(const BoundPredicate& bp, const int64_t* ints,
+                const std::string_view* strs, uint32_t n, uint64_t* words);
 
 }  // namespace logstore::query::vectorized
 

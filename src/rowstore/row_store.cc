@@ -1,63 +1,37 @@
 #include "rowstore/row_store.h"
 
-#include <algorithm>
+#include <string_view>
 
-#include "index/inverted_index.h"
+#include "query/bind.h"
+#include "query/vectorized.h"
 
 namespace logstore::rowstore {
 
-using logblock::ColumnType;
 using logblock::RowBatch;
 
 namespace {
 
-// A predicate bound to the store's schema once per scan: its column and,
-// for MATCH, its query tokens.
-struct BoundPredicate {
-  const query::Predicate* pred;
-  size_t col;
-  std::vector<std::string> tokens;
-};
-
-bool RowMatches(const RowBatch& rows, uint32_t r, int ts_col, int64_t ts_min,
-                int64_t ts_max, const std::vector<BoundPredicate>& bound) {
-  if (ts_col >= 0) {
-    const int64_t ts = rows.Int64At(ts_col, r);
-    if (ts < ts_min || ts > ts_max) return false;
+std::vector<index::Int64Sma> IntSmas(const RowBatch& rows) {
+  std::vector<index::Int64Sma> smas(rows.schema().num_columns());
+  for (size_t c = 0; c < smas.size(); ++c) {
+    if (rows.schema().column(c).type != logblock::ColumnType::kInt64) continue;
+    for (int64_t v : rows.Int64Column(c)) smas[c].Update(v);
   }
-  for (const BoundPredicate& b : bound) {
-    switch (b.pred->kind) {
-      case query::Predicate::Kind::kInt64Compare:
-        if (!b.pred->EvalInt64(rows.Int64At(b.col, r))) return false;
-        break;
-      case query::Predicate::Kind::kStringEq:
-        if (rows.StringAt(b.col, r) != b.pred->str_value) return false;
-        break;
-      case query::Predicate::Kind::kMatch: {
-        const auto have = index::Tokenize(rows.StringAt(b.col, r));
-        for (const std::string& token : b.tokens) {
-          if (std::find(have.begin(), have.end(), token) == have.end()) {
-            return false;
-          }
-        }
-        break;
-      }
-    }
-  }
-  return true;
+  return smas;
 }
 
 }  // namespace
 
-RowStore::RowStore(logblock::Schema schema)
-    : schema_(std::move(schema)), ts_col_(schema_.FindColumn("ts")) {}
+RowStore::RowStore(logblock::Schema schema) : schema_(std::move(schema)) {}
 
 uint64_t RowStore::Append(uint64_t tenant_id, RowBatch&& rows) {
   const uint32_t n = rows.num_rows();
   const uint64_t bytes = rows.ApproximateBytes();
+  std::vector<index::Int64Sma> smas = IntSmas(rows);
   std::lock_guard<std::mutex> lock(mu_);
   if (n > 0) {
-    entries_.push_back({next_seq_, tenant_id, std::move(rows)});
+    entries_.push_back(
+        {next_seq_, tenant_id, std::move(rows), std::move(smas)});
     row_count_ += n;
     bytes_ += bytes;
     next_seq_ += n;
@@ -128,7 +102,8 @@ void RowStore::TruncateUpTo(uint64_t seq) {
       entries_.pop_front();
       continue;
     }
-    // Partly archived: keep the rows above `seq`.
+    // Partly archived: keep the rows above `seq`. The entry's SMAs still
+    // bound the rows it keeps.
     const uint32_t drop = static_cast<uint32_t>(seq - front.first_seq + 1);
     RowBatch rest(schema_);
     rest.AppendRows(front.rows, drop, n);
@@ -153,35 +128,55 @@ RowBatch RowStore::ScanTenant(
     uint64_t tenant_id, int64_t ts_min, int64_t ts_max,
     const std::vector<query::Predicate>& predicates) const {
   RowBatch result(schema_);
+  query::LogQuery filter;
+  filter.ts_min = ts_min;
+  filter.ts_max = ts_max;
+  filter.predicates = predicates;
   // A predicate naming no column, or a column of the other type, holds
   // for no row.
-  std::vector<BoundPredicate> bound;
-  bound.reserve(predicates.size());
-  for (const query::Predicate& pred : predicates) {
-    const int col = schema_.FindColumn(pred.column);
-    if (col < 0) return result;
-    const bool int_pred = pred.kind == query::Predicate::Kind::kInt64Compare;
-    if (int_pred != (schema_.column(col).type == ColumnType::kInt64)) {
-      return result;
-    }
-    bound.push_back({&pred, static_cast<size_t>(col), {}});
-    if (pred.kind == query::Predicate::Kind::kMatch) {
-      bound.back().tokens = index::Tokenize(pred.str_value);
-    }
-  }
+  const auto bound = query::Bind(filter, schema_);
+  if (!bound.ok()) return result;
 
+  // Selection bitmaps, one bit per row of an entry, and string views of
+  // the column a string predicate reads; reused across entries.
+  std::vector<uint64_t> selected;
+  std::vector<uint64_t> words;
+  std::vector<std::string_view> views;
   std::lock_guard<std::mutex> lock(mu_);
   for (const Entry& entry : entries_) {
     if (entry.tenant_id != tenant_id) continue;
     const RowBatch& rows = entry.rows;
-    // Each run of matching rows is appended as one column range.
+    const uint32_t n = rows.num_rows();
+    // One predicate at a time, ANDed into `selected`: the entry's SMA first,
+    // then the LogBlock kernels.
+    selected.assign((n + 63) / 64, ~uint64_t{0});
+    words.resize(selected.size());
+    bool excluded = false;
+    for (const query::BoundPredicate& bp : bound->filter) {
+      if (query::SmaExcludes(bp, entry.int_smas[bp.col])) {
+        excluded = true;
+        break;
+      }
+      if (query::SmaCovers(bp, entry.int_smas[bp.col])) continue;
+      const std::string_view* strs = nullptr;
+      if (bp.pred.kind != query::Predicate::Kind::kInt64Compare) {
+        const std::vector<std::string>& column = rows.StringColumn(bp.col);
+        views.assign(column.begin(), column.end());
+        strs = views.data();
+      }
+      query::vectorized::Filter(bp, rows.Int64Column(bp.col).data(), strs, n,
+                                words.data());
+      for (size_t w = 0; w < words.size(); ++w) selected[w] &= words[w];
+    }
+    if (excluded) continue;
+    // Each run of selected rows is appended as one column range.
     uint32_t run = 0;
-    for (uint32_t r = 0; r < rows.num_rows(); ++r) {
-      if (RowMatches(rows, r, ts_col_, ts_min, ts_max, bound)) continue;
+    for (uint32_t r = 0; r < n; ++r) {
+      if ((selected[r >> 6] >> (r & 63)) & 1) continue;
       if (run < r) result.AppendRows(rows, run, r);
       run = r + 1;
     }
-    if (run < rows.num_rows()) result.AppendRows(rows, run, rows.num_rows());
+    if (run < n) result.AppendRows(rows, run, n);
   }
   return result;
 }

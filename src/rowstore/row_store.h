@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "index/sma.h"
 #include "logblock/row_batch.h"
 #include "query/predicate.h"
 
@@ -65,7 +66,9 @@ class RowStore {
   void ResetToArchived();
 
   // Real-time query path: scans retained rows of `tenant` within the ts
-  // range, applying `predicates` (all must hold). Other tenants' entries
+  // range, applying `predicates` (all must hold) as a LogBlock scan does:
+  // query::Bind, then per entry its SMAs and the LogBlock filter kernels.
+  // A predicate that does not bind selects no row. Other tenants' entries
   // are skipped whole, but the walk still visits every entry under the
   // store's lock.
   logblock::RowBatch ScanTenant(
@@ -73,15 +76,16 @@ class RowStore {
       const std::vector<query::Predicate>& predicates = {}) const;
 
  private:
-  // One applied write: rows first_seq .. first_seq + rows.num_rows() - 1.
+  // One applied write: rows first_seq .. first_seq + rows.num_rows() - 1,
+  // with an SMA per column (empty for strings), as a column block has.
   struct Entry {
     uint64_t first_seq;
     uint64_t tenant_id;
     logblock::RowBatch rows;
+    std::vector<index::Int64Sma> int_smas;
   };
 
   const logblock::Schema schema_;
-  const int ts_col_;
 
   mutable std::mutex mu_;
   std::deque<Entry> entries_;  // never empty batches

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -11,6 +13,7 @@
 #include "cache/lru_cache.h"
 #include "cache/ssd_block_cache.h"
 #include "common/metrics.h"
+#include "common/random.h"
 
 namespace logstore::cache {
 namespace {
@@ -115,6 +118,30 @@ TEST(LruCacheTest, EvictionCallbackMayReenterCache) {
   EXPECT_EQ(evicted[1], "b");
   EXPECT_NE(cache.Get("reentrant-a"), nullptr);
   EXPECT_NE(cache.Get("reentrant-b"), nullptr);
+}
+
+// A victim stays readable until its eviction callback returns: the SSD
+// tier stores a spilled block only inside the callback, and a block in
+// neither level meanwhile would be read again from the object store.
+TEST(LruCacheTest, VictimStaysReadableWhileItsCallbackRuns) {
+  LruCache<const std::string> cache(4);
+  int seen = 0;
+  cache.set_batch_eviction_callback(
+      [&](std::vector<LruCache<const std::string>::Evicted>&& victims) {
+        for (const auto& victim : victims) {
+          EXPECT_TRUE(cache.Contains(victim.key));
+          auto got = cache.Get(victim.key);
+          ASSERT_NE(got, nullptr);
+          EXPECT_EQ(*got, "aaaa");
+          ++seen;
+        }
+      });
+  cache.Insert("a", Block("aaaa"), 4);
+  cache.Insert("b", Block("bbbb"), 4);
+  EXPECT_EQ(seen, 1);
+  EXPECT_FALSE(cache.Contains("a"));
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.used_bytes(), 4u);
 }
 
 // Regression: an oversized insert used to count an insert, erase any
@@ -504,6 +531,73 @@ TEST_F(SsdCacheTest, ConcurrentPromotionNeverMissesBothLevels) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(missing.load(), 0);
+}
+
+TEST_F(SsdCacheTest, ConcurrentReadsLoseNoBlockFromBothLevels) {
+  // A block leaves the SSD tier only by capacity eviction or by its own
+  // promotion. The SSD tier here evicts nothing, so after any mix of
+  // concurrent Get and GetBatch every block still reads back from one of
+  // the levels. Losses this caught: a re-spill rewriting a file other
+  // threads were reading, a failed read or a promotion dropping a newer
+  // spill of the same key, an unlink removing a freshly published file,
+  // and a re-spill of a run's first key replacing the whole run.
+  constexpr int kBlocks = 64;
+  constexpr int kThreads = 8;
+  auto key = [](int b) { return "obj#" + std::to_string(b); };
+  auto payload = [](int b) {
+    return std::string(4096, static_cast<char>('a' + b % 26)) +
+           std::to_string(b);
+  };
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::filesystem::remove_all(dir_);
+    BlockManagerOptions options;
+    options.memory_capacity_bytes = 32 << 10;
+    options.memory_shards = 2;
+    options.ssd_dir = dir_.string();
+    options.ssd_capacity_bytes = 1ull << 30;
+    auto manager = BlockManager::Open(options);
+    ASSERT_TRUE(manager.ok());
+    for (int b = 0; b < kBlocks; ++b) {
+      (*manager)->Insert(key(b), Block(payload(b)));
+    }
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Random rng(static_cast<uint64_t>(round * kThreads + t + 1));
+        for (int op = 0; op < 200; ++op) {
+          const int first = static_cast<int>(rng.Uniform(kBlocks));
+          if (rng.OneIn(2)) {
+            auto got = (*manager)->Get(key(first));
+            if (got != nullptr && *got != payload(first)) wrong.fetch_add(1);
+            continue;
+          }
+          std::vector<std::string> keys;
+          for (int b = first; b < std::min(first + 4, kBlocks); ++b) {
+            keys.push_back(key(b));
+          }
+          auto got = (*manager)->GetBatch(keys);
+          for (size_t i = 0; i < got.size(); ++i) {
+            if (got[i] != nullptr &&
+                *got[i] != payload(first + static_cast<int>(i))) {
+              wrong.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+    int missing = 0;
+    for (int b = 0; b < kBlocks; ++b) {
+      auto got = (*manager)->Get(key(b));
+      if (got == nullptr || *got != payload(b)) ++missing;
+    }
+    EXPECT_EQ(missing, 0);
+    EXPECT_EQ((*manager)->ssd_stats().evictions.load(), 0u);
+  }
 }
 
 }  // namespace

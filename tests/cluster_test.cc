@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -406,6 +408,111 @@ TEST_F(ClusterTest, ExpirationRemovesObjects) {
   auto result = cluster_->Query(query);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->rows.empty());
+}
+
+// Passes every call through, except that once armed it holds the next
+// GetRange until Release.
+class GatedStore : public objectstore::ObjectStore {
+ public:
+  explicit GatedStore(objectstore::ObjectStore* base) : base_(base) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Status Put(const std::string& key, const Slice& data) override {
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    return base_->GetRange(key, offset, length);
+  }
+  Result<uint64_t> Head(const std::string& key) override {
+    return base_->Head(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  objectstore::ObjectStoreStats& stats() override { return base_->stats(); }
+
+ private:
+  objectstore::ObjectStore* base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+// Expiry is a control mutation: a read whose archived scan overlaps the
+// deletes is fenced with a retryable kUnavailable, never a NotFound for the
+// vanished object, and the retry answers from the post-expiry state.
+TEST(ClusterExpiryTest, ExpiryFencesAnOverlappingRead) {
+  objectstore::MemoryObjectStore memory;
+  GatedStore store(&memory);
+  ClusterDeploymentOptions options;
+  options.num_workers = 2;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  auto opened = Cluster::Open(&store, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Cluster> cluster = std::move(opened).value();
+
+  workload::LogGenerator gen(29);
+  RowBatch archived = gen.Generate(1, 40, 0, 1000);
+  ASSERT_TRUE(cluster->Write(1, archived).ok());
+  auto built = cluster->RunBuildPass();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(*built, 1);
+  RowBatch fresh = gen.Generate(1, 7, 5000, 6000);
+  ASSERT_TRUE(cluster->Write(1, fresh).ok());
+
+  query::LogQuery query;
+  query.tenant_id = 1;
+  store.Arm();
+  Result<query::QueryResult> overlapped = Status::Internal("not run");
+  std::thread reader([&] { overlapped = cluster->Query(query); });
+  store.WaitUntilHeld();
+  auto expired = cluster->ExpireTenantData(1, 2000);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(*expired, 1);
+  store.Release();
+  reader.join();
+  ASSERT_FALSE(overlapped.ok());
+  EXPECT_TRUE(overlapped.status().IsUnavailable())
+      << overlapped.status().ToString();
+
+  auto retried = cluster->Query(query);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried->stats.logblocks_total, 0u);
+  reference::ExpectMatchesReference(
+      reference::Evaluate({{1, fresh}}, query), query, *retried, "retry");
+  EXPECT_EQ(retried->rows.size(), 7u);
 }
 
 // Each write draws once from the broker's Random(12345) and picks its

@@ -3,7 +3,9 @@
 #include <filesystem>
 #include <memory>
 
+#include "common/metrics.h"
 #include "core/logstore.h"
+#include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/file_object_store.h"
 #include "query/aggregation.h"
 #include "workload/loggen.h"
@@ -241,6 +243,86 @@ TEST(LogStoreTest, ExpirationSurvivesReopen) {
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].s, "new");
   std::filesystem::remove_all(dir);
+}
+
+// Expire checkpoints the catalog without the expired blocks before it
+// deletes their objects. With the catalog write failing, Expire fails
+// before any delete, so a reopened store still reads every block its
+// catalog names (deleting first left a catalog naming a deleted object:
+// every query of the tenant failed with NotFound after the reopen).
+TEST(LogStoreTest, FailedExpireCheckpointDeletesNothing) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "logstore_core_expire_order_db";
+  std::filesystem::remove_all(dir);
+  LogStoreOptions options = SmallOptions();
+  options.storage_dir = dir.string();
+  options.use_retry = false;
+  {
+    LogStoreOptions faulty = options;
+    faulty.inject_object_faults = true;
+    auto db = LogStore::Open(faulty);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Append(1, OneRow(1, 10, "a", 1, "false", "old")).ok());
+    ASSERT_TRUE((*db)->Flush().ok());
+    auto* faults = dynamic_cast<objectstore::FaultInjectingObjectStore*>(
+        (*db)->object_store());
+    ASSERT_NE(faults, nullptr);
+    faults->BlacklistKey(LogStore::kCatalogKey);
+    auto expired = (*db)->Expire(1, 100);
+    ASSERT_FALSE(expired.ok());
+    EXPECT_TRUE(expired.status().IsUnavailable())
+        << expired.status().ToString();
+  }
+  auto db = LogStore::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->GetStats().logblocks, 1u);
+  query::LogQuery query;
+  query.tenant_id = 1;
+  query.select_columns = {"log"};
+  auto result = (*db)->Query(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0][0].s, "old");
+  // The retried expiry then removes the block and its object.
+  auto expired = (*db)->Expire(1, 100);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(*expired, 1);
+  result = (*db)->Query(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->rows.empty());
+  std::filesystem::remove_all(dir);
+}
+
+// query.* is recorded once per answered query, after the realtime merge:
+// rows served from the row store count in query.realtime_rows and
+// query.rows_matched.
+TEST(LogStoreTest, QueryCellsCountRealtimeRows) {
+  metrics::MetricRegistry registry;
+  LogStoreOptions options = SmallOptions();
+  options.registry = &registry;
+  auto db = LogStore::Open(options);
+  ASSERT_TRUE(db.ok());
+  workload::LogGenerator gen(3);
+  ASSERT_TRUE((*db)->Append(1, gen.Generate(1, 30, 0, 1000)).ok());
+  ASSERT_TRUE((*db)->Flush().ok());
+  ASSERT_TRUE((*db)->Append(1, gen.Generate(1, 50, 1000, 2000)).ok());
+
+  query::LogQuery query;
+  query.tenant_id = 1;
+  auto result = (*db)->Query(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 80u);
+  EXPECT_EQ(registry.Counter("query.queries")->load(), 1u);
+  EXPECT_EQ(registry.Counter("query.realtime_rows")->load(), 50u);
+  EXPECT_EQ(registry.Counter("query.rows_matched")->load(), 80u);
+
+  query.agg = query::Aggregate::Count();
+  result = (*db)->Query(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->agg.rows, 80u);
+  EXPECT_EQ(registry.Counter("query.queries")->load(), 2u);
+  EXPECT_EQ(registry.Counter("query.realtime_rows")->load(), 100u);
+  EXPECT_EQ(registry.Counter("query.rows_matched")->load(), 160u);
 }
 
 TEST(LogStoreTest, RetentionPoliciesApplyPerTenant) {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -459,121 +458,6 @@ TEST_F(DurableLogTest, FsyncFailureWedgesTheLogUntilReopen) {
   const uint64_t next =
       log->recovered().base_index + log->recovered().entries.size() + 1;
   EXPECT_TRUE(log->AppendEntry(next, Entry(2, "after-reopen")).ok());
-}
-
-// --- BtrLog-style background syncer (max_sync_delay_us > 0) ---
-
-TEST_F(DurableLogTest, BackgroundSyncerBatchesConcurrentSyncs) {
-  // Committers park on the dedicated syncer; one fsync covers the whole
-  // batch. Accounting stays exact: every Sync() is a batch, only real
-  // flushes are fsyncs, and nothing is left unsynced once all Syncs return.
-  DurableLogOptions options;
-  options.sync_policy = SyncPolicy::kOnSync;
-  options.max_sync_delay_us = 2'000;
-  options.max_sync_batch = 8;
-  constexpr int kAppends = 100;
-  {
-    auto log = MustOpen(options);
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> syncs{0};
-    std::vector<std::thread> syncers;
-    for (int t = 0; t < 4; ++t) {
-      syncers.emplace_back([&log, &done, &syncs] {
-        while (!done.load()) {
-          ASSERT_TRUE(log->Sync().ok());
-          syncs.fetch_add(1);
-        }
-      });
-    }
-    for (int i = 1; i <= kAppends; ++i) {
-      ASSERT_TRUE(
-          log->AppendEntry(i, Entry(1, "payload-" + std::to_string(i))).ok());
-    }
-    done.store(true);
-    for (auto& t : syncers) t.join();
-    ASSERT_TRUE(log->Sync().ok());
-    syncs.fetch_add(1);
-    EXPECT_EQ(log->sync_batches(), syncs.load());
-    EXPECT_LE(log->fsyncs_issued(), log->sync_batches());
-    EXPECT_GE(log->fsyncs_issued(), 1u);
-    EXPECT_EQ(log->unsynced_bytes(), 0u);
-  }
-  // An acked Sync means durable: the full log recovers.
-  auto log = MustOpen(options);
-  ASSERT_EQ(log->recovered().entries.size(), static_cast<size_t>(kAppends));
-  EXPECT_EQ(log->recovered().entries.back().payload,
-            "payload-" + std::to_string(kAppends));
-}
-
-TEST_F(DurableLogTest, SyncerDelayFlushesASingleWriter) {
-  // A lone committer never fills the batch: the oldest caller's delay
-  // budget must trigger the flush, so Sync() returns in bounded time.
-  DurableLogOptions options;
-  options.sync_policy = SyncPolicy::kOnSync;
-  options.max_sync_delay_us = 1'000;
-  options.max_sync_batch = 32;
-  auto log = MustOpen(options);
-  ASSERT_TRUE(log->AppendEntry(1, Entry(1, "solo")).ok());
-  ASSERT_TRUE(log->Sync().ok());
-  EXPECT_EQ(log->unsynced_bytes(), 0u);
-  EXPECT_EQ(log->fsyncs_issued(), 1u);
-  EXPECT_EQ(log->sync_batches(), 1u);
-  // A Sync with nothing new pending returns without parking or flushing.
-  ASSERT_TRUE(log->Sync().ok());
-  EXPECT_EQ(log->fsyncs_issued(), 1u);
-  EXPECT_EQ(log->sync_batches(), 2u);
-}
-
-TEST_F(DurableLogTest, SyncerBatchThresholdFlushesBeforeTheDelay) {
-  // With an hour-long delay budget, only the batch threshold can flush:
-  // two parked committers fill max_sync_batch=2 and share one fsync. The
-  // test completing at all proves the threshold fired, not the delay.
-  DurableLogOptions options;
-  options.sync_policy = SyncPolicy::kOnSync;
-  options.max_sync_delay_us = 3'600'000'000LL;
-  options.max_sync_batch = 2;
-  auto log = MustOpen(options);
-  ASSERT_TRUE(log->AppendEntry(1, Entry(1, "a")).ok());
-  ASSERT_TRUE(log->AppendEntry(2, Entry(1, "b")).ok());
-  std::thread peer([&log] { ASSERT_TRUE(log->Sync().ok()); });
-  ASSERT_TRUE(log->Sync().ok());
-  peer.join();
-  EXPECT_EQ(log->unsynced_bytes(), 0u);
-  EXPECT_EQ(log->sync_batches(), 2u);
-  // Both callers' bytes were covered by one flush (the second caller can
-  // at most have raced into a second, already-covered flush: never more).
-  EXPECT_LE(log->fsyncs_issued(), 2u);
-  EXPECT_GE(log->fsyncs_issued(), 1u);
-}
-
-TEST_F(DurableLogTest, SyncerEioFailsParkedCallersAndWedgesTheLog) {
-  // The syncer's fsync hits EIO: every parked caller gets the error (never
-  // a hang, never a false ack) and the log is wedged fail-stop.
-  DurableLogOptions options;
-  options.sync_policy = SyncPolicy::kOnSync;
-  options.max_sync_delay_us = 500;
-  options.max_sync_batch = 32;
-  auto log = MustOpen(options);
-  ASSERT_TRUE(log->AppendEntry(1, Entry(1, "doomed")).ok());
-  log->InjectSyncErrors(1);
-  EXPECT_TRUE(log->Sync().IsIOError());
-  EXPECT_TRUE(log->Sync().IsIOError());
-  EXPECT_TRUE(log->AppendEntry(2, Entry(1, "rejected")).IsIOError());
-}
-
-TEST_F(DurableLogTest, CrashWhileParkedOnTheSyncerReturnsError) {
-  // A simulated crash while a committer is parked must wake it with an
-  // error — whichever side wins the race, the Sync returns non-OK promptly.
-  DurableLogOptions options;
-  options.sync_policy = SyncPolicy::kOnSync;
-  options.max_sync_delay_us = 3'600'000'000LL;  // only the crash can wake it
-  options.max_sync_batch = 32;
-  auto log = MustOpen(options);
-  ASSERT_TRUE(log->AppendEntry(1, Entry(1, "parked")).ok());
-  std::thread committer([&log] { EXPECT_FALSE(log->Sync().ok()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(log->SimulateCrash(CrashMode::kDropUnsynced, 7).ok());
-  committer.join();
 }
 
 }  // namespace
