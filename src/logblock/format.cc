@@ -6,6 +6,10 @@ namespace logstore::logblock {
 
 namespace {
 constexpr uint32_t kMetaMagic = 0x4c424d31;  // "LBM1"
+// Fewest bytes one encoded ColumnBlockMeta takes: four one-byte varints
+// (row count, first row, offset, size), an Int64Sma of three one-byte
+// varints and a StringSma of two empty strings and a one-byte count.
+constexpr size_t kMinBlockMetaBytes = 10;
 }  // namespace
 
 void LogBlockMeta::EncodeTo(std::string* dst) const {
@@ -76,7 +80,18 @@ Result<LogBlockMeta> LogBlockMeta::DecodeFrom(Slice* input) {
         !GetVarint32(input, &block_count)) {
       return Status::Corruption("logblock meta: truncated column meta");
     }
+    // Each block holds at least one row and takes at least
+    // kMinBlockMetaBytes, so a larger count is corrupt; checking first
+    // keeps a hostile count from sizing the vector.
+    if (block_count > meta.row_count ||
+        block_count > input->size() / kMinBlockMetaBytes) {
+      return Status::Corruption("logblock meta: bad column block count");
+    }
     col.blocks.resize(block_count);
+    // The blocks must partition the rows: non-empty, in order, from row 0
+    // to row_count with no gap or overlap. Readers locate a row's value in
+    // each column's own block list, so every list must cover every row.
+    uint64_t next_row = 0;
     for (uint32_t b = 0; b < block_count; ++b) {
       ColumnBlockMeta& block = col.blocks[b];
       if (!GetVarint32(input, &block.row_count) ||
@@ -87,6 +102,15 @@ Result<LogBlockMeta> LogBlockMeta::DecodeFrom(Slice* input) {
           !block.str_sma.DecodeFrom(input)) {
         return Status::Corruption("logblock meta: truncated block meta");
       }
+      if (block.row_count == 0 || block.first_row != next_row) {
+        return Status::Corruption(
+            "logblock meta: column blocks do not partition the rows");
+      }
+      next_row += block.row_count;
+    }
+    if (next_row != meta.row_count) {
+      return Status::Corruption(
+          "logblock meta: column blocks do not partition the rows");
     }
   }
   return meta;

@@ -22,7 +22,15 @@ namespace logstore::logblock {
 //                headers (row count, block SMA, data/bitset offsets)
 //   "index/<i>"  part 3 for column ordinal i: inverted-index or BKD bytes
 //   "data/<i>"   part 5: concatenated column block chunks; each chunk is
-//                [varint32 bitset_len][bitset][codec-compressed values]
+//                [varint32 bitset_len][bitset][fixed32 masked CRC32C]
+//                [codec-compressed values]. bitset_len 0 means every row
+//                is valid and no bitset follows; otherwise it is
+//                (row_count + 7) / 8, one validity bit per row.
+//
+// Each column's blocks partition the LogBlock's rows: non-empty, in order,
+// from row 0 to row_count. Columns need not share block boundaries; the
+// writer closes a block at rows_per_block rows or at a byte target of
+// encoded values, whichever comes first.
 //
 // The tar manifest plays the role of Figure 4's top-level offset table; the
 // "meta" member carries everything needed to plan reads, so a query touches

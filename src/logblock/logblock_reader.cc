@@ -52,6 +52,23 @@ Result<std::unique_ptr<LogBlockReader>> LogBlockReader::Open(
   auto meta = LogBlockMeta::DecodeFrom(&meta_in);
   if (!meta.ok()) return meta.status();
 
+  // Every column block's chunk must lie inside its column's data member,
+  // so a read planned from the meta never leaves that member.
+  for (size_t c = 0; c < meta->columns.size(); ++c) {
+    const auto& blocks = meta->columns[c].blocks;
+    if (blocks.empty()) continue;
+    auto data = tar->Find(DataMemberName(c));
+    if (!data.ok()) {
+      return Status::Corruption("logblock: no member " + DataMemberName(c));
+    }
+    for (const ColumnBlockMeta& block : blocks) {
+      if (block.offset > data->size || block.size > data->size - block.offset) {
+        return Status::Corruption("logblock meta: column block outside " +
+                                  DataMemberName(c));
+      }
+    }
+  }
+
   std::unique_ptr<LogBlockReader> reader(new LogBlockReader());
   reader->source_ = std::move(source);
   reader->tar_ = std::move(tar).value();
@@ -199,11 +216,16 @@ Result<DecodedColumnBlock> LogBlockReader::ReadColumnBlock(size_t col,
 
   const ColumnBlockMeta& block_meta = meta_.columns[col].blocks[block_idx];
   Slice in(*chunk);
+  // Validity bitmap: absent (every row valid, all a writer emits now) or
+  // one bit per row (older LogBlocks, all ones). No row is ever null, so
+  // its bits are skipped unread.
   uint32_t bitset_len;
-  if (!GetVarint32(&in, &bitset_len) || in.size() < bitset_len) {
+  if (!GetVarint32(&in, &bitset_len) ||
+      (bitset_len != 0 && bitset_len != (block_meta.row_count + 7) / 8) ||
+      in.size() < bitset_len) {
     return Status::Corruption("column block: bad bitset");
   }
-  in.remove_prefix(bitset_len);  // validity bitmap; all rows valid today
+  in.remove_prefix(bitset_len);
 
   uint32_t masked_crc;
   if (!GetFixed32(&in, &masked_crc)) {

@@ -1,7 +1,5 @@
 #include "logblock/logblock_writer.h"
 
-#include <algorithm>
-
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "index/bkd_tree.h"
@@ -12,21 +10,12 @@ namespace logstore::logblock {
 
 namespace {
 
-// Encodes the values of rows [begin,end) of column `c` (uncompressed form).
-std::string EncodeBlockValues(const RowBatch& rows, size_t c, uint32_t begin,
-                              uint32_t end) {
-  std::string out;
-  if (rows.schema().column(c).type == ColumnType::kInt64) {
-    for (uint32_t r = begin; r < end; ++r) {
-      PutVarsint64(&out, rows.Int64At(c, r));
-    }
-  } else {
-    for (uint32_t r = begin; r < end; ++r) {
-      PutLengthPrefixedSlice(&out, rows.StringAt(c, r));
-    }
-  }
-  return out;
-}
+// A column block closes at options.rows_per_block rows or before the row
+// that would take its encoded values past this many bytes, whichever comes
+// first, so a gather that needs a few wide values decodes about this much
+// instead of rows_per_block of them. A block always holds at least one row:
+// a wider value gets a block of its own.
+constexpr size_t kBlockTargetBytes = 32 << 10;
 
 }  // namespace
 
@@ -67,47 +56,61 @@ Result<BuiltLogBlock> BuildLogBlock(const RowBatch& rows, uint64_t tenant_id,
     col_meta.index_type = def.index_type();
 
     std::string& data = data_members[c];
-    for (uint32_t begin = 0; begin < num_rows;
-         begin += options.rows_per_block) {
-      const uint32_t end = std::min(begin + options.rows_per_block, num_rows);
-
-      ColumnBlockMeta block;
-      block.row_count = end - begin;
-      block.first_row = begin;
+    // Closes the open block: rows [block.first_row, end), whose encoded
+    // values are the first `len` bytes of `values`. The chunk is
+    // [varint32 bitset_len = 0][masked CRC32C][compressed values]: every
+    // row is valid, so no validity bitmap (Figure 4 part 5) is stored, and
+    // the CRC covers the compressed payload, catching storage/transfer
+    // corruption before decode.
+    ColumnBlockMeta block;
+    std::string values;
+    auto close_block = [&](uint32_t end, size_t len) -> Status {
+      block.row_count = end - block.first_row;
       block.offset = data.size();
-
-      // Block SMA (Figure 4 part 4).
-      if (def.type == ColumnType::kInt64) {
-        for (uint32_t r = begin; r < end; ++r) {
-          block.int_sma.Update(rows.Int64At(c, r));
-        }
-        col_meta.int_sma.Merge(block.int_sma);
-      } else {
-        for (uint32_t r = begin; r < end; ++r) {
-          block.str_sma.Update(rows.StringAt(c, r));
-        }
-        col_meta.str_sma.Merge(block.str_sma);
-      }
-
-      // Chunk = [bitset][crc][compressed values]. The bitset is the
-      // row-validity bitmap of Figure 4 part 5; rows ingested from the row
-      // store are all valid, so it is all-ones, but the format keeps it
-      // for nullable sources. The masked CRC32C covers the compressed
-      // payload, catching storage/transfer corruption before decode.
-      const uint32_t bitset_len = (block.row_count + 7) / 8;
-      std::string chunk;
-      PutVarint32(&chunk, bitset_len);
-      chunk.append(bitset_len, '\xff');
-      const std::string values = EncodeBlockValues(rows, c, begin, end);
-      std::string compressed;
-      LOGSTORE_RETURN_IF_ERROR(codec->Compress(values, &compressed));
-      PutFixed32(&chunk, crc32c::Mask(crc32c::Value(compressed.data(),
-                                                    compressed.size())));
-      chunk.append(compressed);
-
-      block.size = chunk.size();
-      data.append(chunk);
+      PutVarint32(&data, 0);
+      const size_t crc_at = data.size();
+      const size_t payload_at = crc_at + 4;
+      PutFixed32(&data, 0);
+      LOGSTORE_RETURN_IF_ERROR(
+          codec->Compress(Slice(values.data(), len), &data));
+      EncodeFixed32(&data[crc_at],
+                    crc32c::Mask(crc32c::Value(data.data() + payload_at,
+                                               data.size() - payload_at)));
+      block.size = data.size() - block.offset;
+      col_meta.int_sma.Merge(block.int_sma);
+      col_meta.str_sma.Merge(block.str_sma);
       col_meta.blocks.push_back(std::move(block));
+      block = ColumnBlockMeta();
+      block.first_row = end;
+      values.erase(0, len);
+      return Status::OK();
+    };
+    // One pass over the rows: encode each value uncompressed (a zigzag
+    // varint, or a length-prefixed string), close the open block first if
+    // the value takes it past the byte target, and fold the value into its
+    // block's SMA (Figure 4 part 4).
+    const bool is_int = def.type == ColumnType::kInt64;
+    for (uint32_t r = 0; r < num_rows; ++r) {
+      const size_t before = values.size();
+      if (is_int) {
+        PutVarsint64(&values, rows.Int64At(c, r));
+      } else {
+        PutLengthPrefixedSlice(&values, rows.StringAt(c, r));
+      }
+      if (r > block.first_row && values.size() > kBlockTargetBytes) {
+        LOGSTORE_RETURN_IF_ERROR(close_block(r, before));
+      }
+      if (is_int) {
+        block.int_sma.Update(rows.Int64At(c, r));
+      } else {
+        block.str_sma.Update(rows.StringAt(c, r));
+      }
+      if (r + 1 - block.first_row == options.rows_per_block) {
+        LOGSTORE_RETURN_IF_ERROR(close_block(r + 1, values.size()));
+      }
+    }
+    if (block.first_row < num_rows) {
+      LOGSTORE_RETURN_IF_ERROR(close_block(num_rows, values.size()));
     }
 
     // Column index (Figure 4 part 3).

@@ -14,6 +14,7 @@
 #include "cache/ssd_block_cache.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "test_env.h"
 
 namespace logstore::cache {
 namespace {
@@ -192,11 +193,12 @@ TEST(ShardedLruCacheTest, ConcurrentAccessIsSafe) {
 class SsdCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("logstore_ssd_" + std::string(::testing::UnitTest::GetInstance()
-                                              ->current_test_info()
-                                              ->name()));
-    std::filesystem::remove_all(dir_);
+    // Pid-qualified, so two builds' cache_test runs at once never share it.
+    dir_ = testenv::UniqueTempDir(
+        "logstore_ssd_" + std::string(::testing::UnitTest::GetInstance()
+                                          ->current_test_info()
+                                          ->name()),
+        0);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "core/logstore.h"
 #include "index/inverted_index.h"
+#include "test_env.h"
 #include "workload/loggen.h"
 
 namespace logstore {
@@ -246,9 +247,7 @@ TEST(PipelineIntegrationTest, ConcurrentAppendsAndQueries) {
 }
 
 TEST(PipelineIntegrationTest, SsdCacheLevelServesEvictions) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "logstore_e2e_ssd_cache";
-  std::filesystem::remove_all(dir);
+  const auto dir = testenv::UniqueTempDir("logstore_e2e_ssd_cache", 0);
 
   LogStoreOptions options;
   options.simulate_object_latency = true;
