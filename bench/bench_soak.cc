@@ -105,16 +105,13 @@ int main() {
   options.worker.wal_dir = dir.string();
   options.worker.wal.sync_policy = consensus::SyncPolicy::kOnSync;
   options.worker.wal.segment_target_bytes = 512;
-  // Short object-store retry budgets: a brownout must surface as
+  // Short object-store retry budget: a brownout must surface as
   // kUnavailable inside its window, not stall the load loop for the
   // default 5 s call deadline.
-  for (objectstore::RetryOptions* retry :
-       {&options.engine.retry_options, &options.worker.builder.retry_options}) {
-    retry->max_attempts = 2;
-    retry->initial_backoff_us = 5'000;
-    retry->max_backoff_us = 20'000;
-    retry->call_deadline_us = 100'000;
-  }
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_us = 5'000;
+  options.retry.max_backoff_us = 20'000;
+  options.retry.call_deadline_us = 100'000;
   auto opened = cluster::Cluster::Open(&store, options);
   if (!opened.ok()) {
     std::fprintf(stderr, "cluster open failed: %s\n",

@@ -41,26 +41,8 @@ Result<std::unique_ptr<BlockManager>> BlockManager::Open(
 
 std::shared_ptr<const std::string> BlockManager::Get(const std::string& key) {
   if (auto block = memory_->Get(key)) return block;
-  if (ssd_ != nullptr) {
-    uint64_t version = 0;
-    if (auto block = ssd_->Get(key, &version)) {
-      // Promote to the memory level for subsequent hits. The levels are
-      // exclusive: the SSD copy is released so the bytes are charged once,
-      // and a later memory eviction spills the block back down. Insert into
-      // memory BEFORE erasing from SSD: a concurrent Get of the same key
-      // that misses SSD mid-promotion then finds the block on its memory
-      // re-check instead of reporting a spurious miss. The erase drops only
-      // the entry read: if memory already evicted the promoted copy again,
-      // its fresh spill stays.
-      memory_->Insert(key, block, block->size(), /*spill_on_evict=*/true);
-      ssd_->Erase(key, version);
-      return block;
-    }
-    // A racing promotion may have moved the block from SSD to memory
-    // between the two probes above.
-    if (auto block = memory_->Get(key)) return block;
-  }
-  return nullptr;
+  if (ssd_ == nullptr) return nullptr;
+  return PromoteFromSsd({key}).front();
 }
 
 std::vector<std::shared_ptr<const std::string>> BlockManager::GetBatch(
@@ -76,20 +58,37 @@ std::vector<std::shared_ptr<const std::string>> BlockManager::GetBatch(
     }
   }
   if (ssd_keys.empty()) return out;
-  std::vector<uint64_t> versions;
-  auto ssd_blocks = ssd_->GetBatch(ssd_keys, &versions);
+  auto promoted = PromoteFromSsd(ssd_keys);
   for (size_t j = 0; j < ssd_keys.size(); ++j) {
-    if (ssd_blocks[j] != nullptr) {
-      // Same exclusive promotion as Get (insert-then-erase).
-      memory_->Insert(ssd_keys[j], ssd_blocks[j], ssd_blocks[j]->size(),
-                      /*spill_on_evict=*/true);
-      ssd_->Erase(ssd_keys[j], versions[j]);
-      out[ssd_slots[j]] = std::move(ssd_blocks[j]);
-    } else if (auto block = memory_->Get(ssd_keys[j])) {
-      out[ssd_slots[j]] = std::move(block);  // racing promotion landed it
-    }
+    out[ssd_slots[j]] = std::move(promoted[j]);
   }
   return out;
+}
+
+std::vector<std::shared_ptr<const std::string>> BlockManager::PromoteFromSsd(
+    const std::vector<std::string>& keys) {
+  std::vector<uint64_t> versions;
+  auto blocks = ssd_->GetBatch(keys, &versions);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    if (blocks[j] != nullptr) {
+      // Promote to the memory level for subsequent hits. The levels are
+      // exclusive: the SSD copy is released so the bytes are charged once,
+      // and a later memory eviction spills the block back down. Insert into
+      // memory BEFORE erasing from SSD: a concurrent lookup of the same key
+      // that misses SSD mid-promotion then finds the block on its memory
+      // re-check instead of reporting a spurious miss. The erase drops only
+      // the entry read: if memory already evicted the promoted copy again,
+      // its fresh spill stays.
+      memory_->Insert(keys[j], blocks[j], blocks[j]->size());
+      ssd_->Erase(keys[j], versions[j]);
+    } else if (memory_->Contains(keys[j])) {
+      // A racing promotion moved the block from SSD to memory after this
+      // lookup's memory probe. Contains first, so a plain miss counts one
+      // memory miss, not two.
+      blocks[j] = memory_->Get(keys[j]);
+    }
+  }
+  return blocks;
 }
 
 void BlockManager::Insert(const std::string& key,

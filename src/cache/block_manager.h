@@ -39,7 +39,7 @@ class BlockManager {
 
   // Batched lookup for a run of (typically adjacent) blocks: one slot per
   // key, nullptr on miss. SSD-resident blocks sharing a run file are read
-  // with one coalesced ranged pread and promoted like Get.
+  // with one coalesced ranged pread. Promotes like Get.
   std::vector<std::shared_ptr<const std::string>> GetBatch(
       const std::vector<std::string>& keys);
 
@@ -58,6 +58,11 @@ class BlockManager {
 
  private:
   explicit BlockManager(const BlockManagerOptions& options);
+
+  // Reads `keys` (each a memory miss) from the SSD tier and promotes every
+  // hit into memory; one slot per key, nullptr on miss.
+  std::vector<std::shared_ptr<const std::string>> PromoteFromSsd(
+      const std::vector<std::string>& keys);
 
   CacheStats memory_stats_;
   CacheStats ssd_stats_;

@@ -51,15 +51,10 @@ class LruCache {
   // evicting LRU entries to fit. Values larger than the whole capacity are
   // rejected up front: the rejection counts no insert and leaves any
   // existing entry for the same key untouched.
-  //
-  // `spill_on_evict = false` suppresses the eviction callback when this
-  // entry is later evicted — used for promotions from a lower cache level
-  // that already holds the bytes.
   void Insert(const std::string& key, std::shared_ptr<V> value,
-              uint64_t charge, bool spill_on_evict = true) {
-    std::vector<Victim> victims;
-    EvictionCallback on_evict;
-    BatchEvictionCallback on_evict_batch;
+              uint64_t charge) {
+    std::vector<Evicted> victims;
+    BatchEvictionCallback on_evict;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (charge > capacity_) return;
@@ -73,37 +68,25 @@ class LruCache {
       auto entry = std::make_shared<Entry>();
       entry->value = std::move(value);
       entry->charge = charge;
-      entry->spill_on_evict = spill_on_evict;
       lru_.push_front(key);
       entry->lru_pos = lru_.begin();
       map_[key] = entry;
       used_ += charge;
       CollectEvictionsLocked(&victims);
       on_evict = on_evict_;
-      on_evict_batch = on_evict_batch_;
-      if (!on_evict && !on_evict_batch) victims.clear();
+      if (!on_evict) victims.clear();
       // A victim stays readable until its callback (a spill to a lower
       // level) returns, so it is never in neither level.
-      for (const Victim& v : victims) spilling_[v.key] = v.value;
+      for (const Evicted& v : victims) spilling_[v.key] = v.value;
     }
-    // Callbacks run after the shard mutex is released: the SSD-spill
-    // callback does disk IO, and a callback that re-enters the cache must
-    // not deadlock. When a batch callback is set it receives all victims of
-    // this insert at once (so adjacent blocks evicted together can spill
-    // into one file); otherwise each victim is announced individually.
+    // The callback runs after the shard mutex is released: the SSD spill
+    // does disk IO, and a callback that re-enters the cache must not
+    // deadlock. It receives all victims of this insert at once, so adjacent
+    // blocks evicted together can spill into one file.
     if (victims.empty()) return;
-    if (on_evict_batch) {
-      std::vector<Evicted> batch;
-      batch.reserve(victims.size());
-      for (const Victim& v : victims) {
-        batch.push_back({v.key, v.value, v.charge});
-      }
-      on_evict_batch(std::move(batch));
-    } else {
-      for (const Victim& v : victims) on_evict(v.key, v.value, v.charge);
-    }
+    on_evict(std::vector<Evicted>(victims));
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Victim& v : victims) {  // unless a later eviction replaced it
+    for (const Evicted& v : victims) {  // unless a later eviction replaced it
       auto it = spilling_.find(v.key);
       if (it != spilling_.end() && it->second == v.value) spilling_.erase(it);
     }
@@ -161,53 +144,35 @@ class LruCache {
   }
   uint64_t capacity() const { return capacity_; }
 
-  // Invoked with (key, value, charge) for each eviction; used by the memory
-  // block cache to spill into the SSD cache (§5.2: "When its size exceeds
-  // the threshold, the memory cache will spill to the SSD block cache").
-  using EvictionCallback =
-      std::function<void(const std::string&, const std::shared_ptr<V>&, uint64_t)>;
-  void set_eviction_callback(EvictionCallback cb) {
-    std::lock_guard<std::mutex> lock(mu_);
-    on_evict_ = std::move(cb);
-  }
-
-  // Batch variant: one call per insert with every victim it displaced, in
-  // LRU order. Takes precedence over the per-victim callback when set.
   struct Evicted {
     std::string key;
     std::shared_ptr<V> value;
     uint64_t charge;
   };
+  // Invoked once per insert with every victim it displaced, in LRU order;
+  // used by the memory block cache to spill into the SSD cache (§5.2: "When
+  // its size exceeds the threshold, the memory cache will spill to the SSD
+  // block cache").
   using BatchEvictionCallback = std::function<void(std::vector<Evicted>&&)>;
   void set_batch_eviction_callback(BatchEvictionCallback cb) {
     std::lock_guard<std::mutex> lock(mu_);
-    on_evict_batch_ = std::move(cb);
+    on_evict_ = std::move(cb);
   }
 
  private:
   struct Entry {
     std::shared_ptr<V> value;
     uint64_t charge = 0;
-    bool spill_on_evict = true;
     typename std::list<std::string>::iterator lru_pos;
   };
 
-  struct Victim {
-    std::string key;
-    std::shared_ptr<V> value;
-    uint64_t charge;
-  };
-
-  // Detaches LRU entries until the cache fits, appending the ones whose
-  // eviction should be announced to `victims` for the caller to process
-  // after releasing the mutex.
-  void CollectEvictionsLocked(std::vector<Victim>* victims) {
+  // Detaches LRU entries until the cache fits, appending them to `victims`
+  // for the caller to announce after releasing the mutex.
+  void CollectEvictionsLocked(std::vector<Evicted>* victims) {
     while (used_ > capacity_ && !lru_.empty()) {
       const std::string victim = lru_.back();
       auto it = map_.find(victim);
-      if (it->second->spill_on_evict) {
-        victims->push_back({victim, it->second->value, it->second->charge});
-      }
+      victims->push_back({victim, it->second->value, it->second->charge});
       used_ -= it->second->charge;
       map_.erase(it);
       lru_.pop_back();
@@ -221,8 +186,7 @@ class LruCache {
   std::unordered_map<std::string, std::shared_ptr<Entry>> map_;
   std::list<std::string> lru_;  // front = most recent
   uint64_t used_ = 0;
-  EvictionCallback on_evict_;
-  BatchEvictionCallback on_evict_batch_;
+  BatchEvictionCallback on_evict_;
   // Uncharged victims whose eviction callback is running.
   std::unordered_map<std::string, std::shared_ptr<V>> spilling_;
 };
@@ -241,8 +205,8 @@ class ShardedLruCache {
   }
 
   void Insert(const std::string& key, std::shared_ptr<V> value,
-              uint64_t charge, bool spill_on_evict = true) {
-    Shard(key).Insert(key, std::move(value), charge, spill_on_evict);
+              uint64_t charge) {
+    Shard(key).Insert(key, std::move(value), charge);
   }
   std::shared_ptr<V> Get(const std::string& key) { return Shard(key).Get(key); }
   bool Contains(const std::string& key) const {
@@ -264,9 +228,6 @@ class ShardedLruCache {
     for (auto& shard : shards_) shard->Clear();
   }
 
-  void set_eviction_callback(typename LruCache<V>::EvictionCallback cb) {
-    for (auto& shard : shards_) shard->set_eviction_callback(cb);
-  }
   void set_batch_eviction_callback(
       typename LruCache<V>::BatchEvictionCallback cb) {
     for (auto& shard : shards_) shard->set_batch_eviction_callback(cb);

@@ -145,78 +145,6 @@ void SsdBlockCache::InsertBatch(
   EvictLocked();
 }
 
-std::shared_ptr<std::string> SsdBlockCache::ReadVerified(
-    int fd, const Located& loc) const {
-  const uint64_t header_size = kHeaderFixedSize + loc.key.size();
-  std::string header(header_size, '\0');
-  if (::pread(fd, header.data(), header_size,
-              static_cast<off_t>(loc.header_offset)) !=
-          static_cast<ssize_t>(header_size) ||
-      header.compare(0, sizeof(kFileMagic), kFileMagic, sizeof(kFileMagic)) !=
-          0 ||
-      DecodeFixed32(header.data() + sizeof(kFileMagic)) != loc.key.size() ||
-      header.compare(kHeaderFixedSize, loc.key.size(), loc.key) != 0) {
-    return nullptr;
-  }
-  auto data =
-      std::make_shared<std::string>(static_cast<size_t>(loc.size), '\0');
-  if (::pread(fd, data->data(), loc.size,
-              static_cast<off_t>(loc.header_offset + header_size)) !=
-      static_cast<ssize_t>(loc.size)) {
-    return nullptr;
-  }
-  return data;
-}
-
-std::shared_ptr<const std::string> SsdBlockCache::Get(const std::string& key,
-                                                     uint64_t* version) {
-  Located loc;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      if (stats_ != nullptr) stats_->misses++;
-      return nullptr;
-    }
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
-    loc = {0, key, it->second.file_hash, it->second.header_offset,
-           it->second.size, it->second.version};
-  }
-
-  // Hit-path IO runs outside mu_ — the mutex above covered only the index
-  // and LRU touch — so parallel Gets overlap their disk reads instead of
-  // serializing behind one reader. pread carries its own offset (no shared
-  // seek state), and the readahead hint lets the kernel start pulling the
-  // block body while the header is still being verified.
-  std::shared_ptr<std::string> data;
-  const int fd = ::open(PathForHash(loc.file_hash).c_str(), O_RDONLY);
-  if (fd >= 0) {
-#ifdef POSIX_FADV_WILLNEED
-    ::posix_fadvise(fd, static_cast<off_t>(loc.header_offset),
-                    static_cast<off_t>(kHeaderFixedSize + key.size() +
-                                       loc.size),
-                    POSIX_FADV_WILLNEED);
-#endif
-    ranged_reads_++;
-    data = ReadVerified(fd, loc);
-    ::close(fd);
-  }
-
-  if (data == nullptr) {
-    // The file is gone, unreadable, or holds another key's bytes: drop the
-    // stale entry read (not a newer one) and miss rather than serve it.
-    std::lock_guard<std::mutex> lock(mu_);
-    DetachEntryLocked(key, loc.version, /*unlink_empty=*/false);
-    if (stats_ != nullptr) stats_->misses++;
-    return nullptr;
-  }
-  if (stats_ != nullptr) stats_->hits++;
-  if (version != nullptr) *version = loc.version;
-  return data;
-}
-
 std::vector<std::shared_ptr<const std::string>> SsdBlockCache::GetBatch(
     const std::vector<std::string>& keys, std::vector<uint64_t>* versions) {
   std::vector<std::shared_ptr<const std::string>> out(keys.size());

@@ -23,10 +23,10 @@ namespace logstore::cache {
 // still far cheaper to read than the object store.
 //
 // Files are named by a hash of a key, so two keys can collide onto the
-// same file. Every stored block carries a header with its full key; Get
-// verifies it and treats a mismatch as a miss, and Insert detaches the
-// index entries of any keys whose file it overwrites — colliding keys can
-// never serve each other's bytes.
+// same file. Every stored block carries a header with its full key;
+// GetBatch verifies it and treats a mismatch as a miss, and Insert detaches
+// the index entries of any keys whose file it overwrites — colliding keys
+// can never serve each other's bytes.
 //
 // Adjacent blocks evicted together are spilled through InsertBatch into one
 // run file (named by a hash of all its keys), and GetBatch reads every
@@ -36,9 +36,10 @@ namespace logstore::cache {
 // its last live block is evicted.
 //
 // Under concurrency a block leaves this tier only by capacity eviction, by
-// Erase of the entry a Get returned (its promotion), or by a hash collision
-// of its file's name: files are renamed into place under the mutex, entries
-// are versioned, and run files are named by all their keys (DESIGN §7).
+// Erase of the entry a GetBatch returned (its promotion), or by a hash
+// collision of its file's name: files are renamed into place under the
+// mutex, entries are versioned, and run files are named by all their keys
+// (DESIGN §7).
 class SsdBlockCache {
  public:
   // `dir` is created if missing; pre-existing files are ignored (the cache
@@ -63,17 +64,12 @@ class SsdBlockCache {
       const std::vector<std::pair<std::string, std::shared_ptr<const std::string>>>&
           blocks);
 
-  // Reads a block back, refreshing recency; nullptr on miss, IO error, or
-  // header/key mismatch. The disk read happens outside the cache mutex
-  // (with a kernel readahead hint), so concurrent Gets overlap their IO.
-  // On a hit, `version` (when given) receives the version of the entry
-  // read, for Erase.
-  std::shared_ptr<const std::string> Get(const std::string& key,
-                                         uint64_t* version = nullptr);
-
-  // Batched lookup: returns one slot per key (nullptr on miss). Blocks that
-  // live in the same file are fetched with one coalesced ranged pread.
-  // `versions` (when given) receives one version per slot, as Get.
+  // The tier's one lookup: reads blocks back, refreshing their recency,
+  // and returns one slot per key, nullptr on miss, IO error, or header/key
+  // mismatch. Blocks that live in the same file are fetched with one
+  // coalesced ranged pread. The disk reads happen outside the cache mutex,
+  // so concurrent lookups overlap their IO. `versions` (when given)
+  // receives, per hit, the version of the entry read, for Erase.
   std::vector<std::shared_ptr<const std::string>> GetBatch(
       const std::vector<std::string>& keys,
       std::vector<uint64_t>* versions = nullptr);
@@ -86,15 +82,15 @@ class SsdBlockCache {
   // Drops `key` and deletes its file if no other live block remains in it
   // (used when a block is promoted to the memory level: the two levels are
   // exclusive, so the SSD copy is released rather than left double-charged).
-  // With a version, only that entry: a promotion passes the version its Get
-  // read, so a newer spill of the same key stays.
+  // With a version, only that entry: a promotion passes the version its
+  // GetBatch read, so a newer spill of the same key stays.
   void Erase(const std::string& key, uint64_t version = kAnyVersion);
 
   uint64_t used_bytes() const;
   size_t entry_count() const;
 
-  // Number of disk read spans issued by Get/GetBatch — with run files,
-  // fewer spans than blocks means adjacent reads were coalesced.
+  // Number of disk read spans issued by GetBatch — with run files, fewer
+  // spans than blocks means adjacent reads were coalesced.
   uint64_t ranged_reads() const { return ranged_reads_.load(); }
 
   // Number of multi-block run files written by InsertBatch (memory-level
@@ -138,10 +134,6 @@ class SsdBlockCache {
                                   std::shared_ptr<const std::string>>>& blocks)
       const;
   std::string PathForHash(uint64_t file_hash) const;
-
-  // Verifies `key`'s header+data at its recorded extent of `fd`; returns
-  // the data or nullptr.
-  std::shared_ptr<std::string> ReadVerified(int fd, const Located& loc) const;
 
   // Removes `key`'s entry of `version` (any entry for kAnyVersion) from
   // index_/lru_/used_ and from its file's owner list; deletes the file when

@@ -14,13 +14,16 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
     objectstore::ObjectStore* store, ClusterDeploymentOptions options) {
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = options;
-  cluster->store_ = store;
   // One registry serves the whole deployment: propagate it into the nested
-  // worker/engine options (when those are unset) BEFORE any worker or
-  // engine is constructed, so `wal.*`, `raft.*`, `query.*` land in it.
+  // worker/engine/retry options (when those are unset) BEFORE any worker or
+  // engine is constructed, so `wal.*`, `raft.*`, `query.*` and
+  // `objectstore.retry.*` land in it.
   cluster->registry_ = metrics::OrDefault(options.registry);
   if (cluster->options_.engine.registry == nullptr) {
     cluster->options_.engine.registry = cluster->registry_;
+  }
+  if (cluster->options_.retry.registry == nullptr) {
+    cluster->options_.retry.registry = cluster->registry_;
   }
   if (cluster->options_.worker.wal.registry == nullptr) {
     cluster->options_.worker.wal.registry = cluster->registry_;
@@ -28,6 +31,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
   if (cluster->options_.worker.raft.registry == nullptr) {
     cluster->options_.worker.raft.registry = cluster->registry_;
   }
+  cluster->store_ = std::make_unique<objectstore::RetryingObjectStore>(
+      store, cluster->options_.retry);
   cluster->monitor_cells_.BindTo(cluster->registry_);
   cluster->availability_cells_.BindTo(cluster->registry_);
   // Shard/worker routing counters: the universe is fixed at deployment
@@ -48,7 +53,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
       options.num_workers, options.shards_per_worker, options.controller);
   for (uint32_t w = 0; w < options.num_workers; ++w) {
     cluster->workers_.push_back(std::make_shared<Worker>(
-        w, store, cluster->controller_->metadata(),
+        w, cluster->store_.get(), cluster->controller_->metadata(),
         cluster->WorkerOptionsFor(w)));
     // Fail fast: a worker that could not open/recover its WALs would
     // reject every write anyway, and surfacing the recovery error here
@@ -61,7 +66,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Open(
   engine_options.cache_options.memory_capacity_bytes *= options.num_workers;
   engine_options.cache_options.ssd_capacity_bytes *= options.num_workers;
   engine_options.object_cache_bytes *= options.num_workers;
-  auto engine = query::QueryEngine::Open(store, engine_options);
+  auto engine = query::QueryEngine::Open(cluster->store_.get(), engine_options);
   if (!engine.ok()) return engine.status();
   cluster->engine_ = std::move(engine).value();
   return cluster;
@@ -125,8 +130,8 @@ Status Cluster::RestartWorker(uint32_t id) {
                                ec.message());
       }
     }
-    auto worker = std::make_shared<Worker>(id, store_, controller_->metadata(),
-                                           WorkerOptionsFor(id));
+    auto worker = std::make_shared<Worker>(
+        id, store_.get(), controller_->metadata(), WorkerOptionsFor(id));
     LOGSTORE_RETURN_IF_ERROR(worker->wal_status());
     {
       std::lock_guard<std::mutex> lock(workers_mu_);
@@ -143,8 +148,8 @@ Status Cluster::RestartWorker(uint32_t id) {
   // the old (fenced, write-refusing) object alive a little longer; its
   // open WAL handles are read-only by then.
   FenceAndRemoveWorker(id);
-  auto worker = std::make_shared<Worker>(id, store_, controller_->metadata(),
-                                         WorkerOptionsFor(id));
+  auto worker = std::make_shared<Worker>(
+      id, store_.get(), controller_->metadata(), WorkerOptionsFor(id));
   LOGSTORE_RETURN_IF_ERROR(worker->wal_status());
   std::lock_guard<std::mutex> lock(workers_mu_);
   workers_[id] = std::move(worker);
@@ -787,7 +792,7 @@ Result<int> Cluster::ExpireTenantData(uint64_t tenant, int64_t cutoff_ts) {
   // (kUnavailable) instead of failing on a vanished object.
   std::lock_guard<std::mutex> control_lock(control_mu_);
   ControlMutation mutation(&control_seq_);
-  return controller_->ExpireTenantData(tenant, cutoff_ts, store_);
+  return controller_->ExpireTenantData(tenant, cutoff_ts, store_.get());
 }
 
 }  // namespace logstore::cluster

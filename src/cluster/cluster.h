@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "objectstore/object_store.h"
+#include "objectstore/retrying_object_store.h"
 #include "query/engine.h"
 
 namespace logstore::cluster {
@@ -38,13 +39,18 @@ struct ClusterDeploymentOptions {
   // query_threads is the deployment's budget for pooled block scans, shared
   // round-robin across tenants (DESIGN §12).
   query::EngineOptions engine;
+  // Retry policy of the deployment's one RetryingObjectStore, which every
+  // object-store call goes through: the engine's reads, each worker's
+  // uploads and snapshot-manifest Heads, and expiry deletes. Its registry
+  // defaults to `registry`.
+  objectstore::RetryOptions retry;
   // Escalation-ladder knobs for the control cycle (replica-recovery attempt
   // budget, election patience).
   EscalationPolicy escalation;
   // Registry receiving every layer's counters (`cluster.*`, `monitor.*`,
-  // and — propagated into the worker/engine options when those are unset —
-  // `wal.*`, `raft.*`, `query.*`, `cache.*`). nullptr means the
-  // process-wide default.
+  // and — propagated into the worker/engine/retry options when those are
+  // unset — `wal.*`, `raft.*`, `query.*`, `cache.*`,
+  // `objectstore.retry.*`). nullptr means the process-wide default.
   metrics::MetricRegistry* registry = nullptr;
 };
 
@@ -265,7 +271,9 @@ class Cluster {
   Status WriteImpl(uint64_t tenant, const logblock::RowBatch& rows);
 
   ClusterDeploymentOptions options_;
-  objectstore::ObjectStore* store_ = nullptr;
+  // The one retry layer over the caller's store; every object-store call of
+  // the deployment goes through it.
+  std::unique_ptr<objectstore::RetryingObjectStore> store_;
   std::unique_ptr<Controller> controller_;
 
   mutable std::mutex workers_mu_;

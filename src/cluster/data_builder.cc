@@ -81,13 +81,7 @@ Status RunJobs(size_t num_jobs, const std::function<Status(size_t)>& run) {
 DataBuilder::DataBuilder(objectstore::ObjectStore* store,
                          logblock::LogBlockMap* map,
                          DataBuilderOptions options)
-    : store_(store), map_(map), options_(std::move(options)) {
-  if (options_.use_retry) {
-    retry_store_ = std::make_unique<objectstore::RetryingObjectStore>(
-        store, options_.retry_options);
-    store_ = retry_store_.get();
-  }
-}
+    : store_(store), map_(map), options_(std::move(options)) {}
 
 Result<int> DataBuilder::BuildOnce(rowstore::RowStore* row_store) {
   const rowstore::RowStore::BuildSnapshot snapshot =

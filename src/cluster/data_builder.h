@@ -13,7 +13,6 @@
 #include "logblock/logblock_map.h"
 #include "logblock/logblock_writer.h"
 #include "objectstore/object_store.h"
-#include "objectstore/retrying_object_store.h"
 #include "rowstore/row_store.h"
 
 namespace logstore::cluster {
@@ -34,11 +33,6 @@ struct DataBuilderOptions {
   // is the only archived copy of acked rows.
   std::string key_prefix = "tenants/";
   std::string key_salt;
-  // Uploads go through a bounded-retry wrapper: a transiently failed Put
-  // must not abort the build pass (the row store is only truncated after
-  // every upload succeeded, so a giveup keeps the rows safe regardless).
-  bool use_retry = true;
-  objectstore::RetryOptions retry_options;
 };
 
 // The remote-archiving stage (§3, phase two): converts row-store snapshots
@@ -46,7 +40,8 @@ struct DataBuilderOptions {
 // LogBlock map, and advances the row store's checkpoint.
 class DataBuilder {
  public:
-  // `store` and `map` must outlive the builder.
+  // `store` and `map` must outlive the builder. Uploads go to `store` as
+  // given; the deployment's RetryingObjectStore absorbs transient failures.
   DataBuilder(objectstore::ObjectStore* store, logblock::LogBlockMap* map,
               DataBuilderOptions options = {});
 
@@ -75,15 +70,8 @@ class DataBuilder {
   // checkpoint this list, the simulation keeps every key of the incarnation.
   std::vector<std::string> ArchivedKeys() const;
 
-  // Upload retry/giveup counters; nullptr when use_retry is off.
-  const objectstore::RetryStats* retry_stats() const {
-    return retry_store_ == nullptr ? nullptr : &retry_store_->retry_stats();
-  }
-
  private:
-  // Effective store for uploads (retry wrapper when enabled).
   objectstore::ObjectStore* store_;
-  std::unique_ptr<objectstore::RetryingObjectStore> retry_store_;
   logblock::LogBlockMap* map_;
   const DataBuilderOptions options_;
 

@@ -59,22 +59,21 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(LogStoreOptions options) {
         std::move(base), db->options_.fault_options);
   }
   db->store_ = std::move(base);
-  if (db->options_.use_retry) {
-    db->retry_store_ = std::make_unique<objectstore::RetryingObjectStore>(
-        db->store_.get(), db->options_.retry_options);
-  }
+  db->retrying_store_ = std::make_unique<objectstore::RetryingObjectStore>(
+      db->store_.get(), db->options_.retry_options);
 
   db->row_store_ = std::make_unique<rowstore::RowStore>(db->options_.schema);
   db->builder_ = std::make_unique<cluster::DataBuilder>(
-      db->store_.get(), &db->metadata_, db->options_.builder);
+      db->retrying_store_.get(), &db->metadata_, db->options_.builder);
 
-  auto engine = query::QueryEngine::Open(db->store_.get(), db->options_.engine);
+  auto engine = query::QueryEngine::Open(db->retrying_store_.get(),
+                                         db->options_.engine);
   if (!engine.ok()) return engine.status();
   db->engine_ = std::move(engine).value();
 
   // Recover the catalog checkpoint, if one exists: reopening a store picks
   // up every LogBlock archived by previous runs.
-  auto manifest = db->catalog_store()->Get(kCatalogKey);
+  auto manifest = db->retrying_store_->Get(kCatalogKey);
   if (manifest.ok()) {
     Slice in(*manifest);
     LOGSTORE_RETURN_IF_ERROR(
@@ -129,7 +128,7 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(LogStoreOptions options) {
 Status LogStore::CheckpointCatalog() {
   std::string manifest;
   metadata_.EncodeTo(&manifest);
-  return catalog_store()->Put(kCatalogKey, manifest);
+  return retrying_store_->Put(kCatalogKey, manifest);
 }
 
 Status LogStore::Append(uint64_t tenant, const logblock::RowBatch& rows) {
@@ -223,7 +222,7 @@ Result<int> LogStore::Expire(uint64_t tenant, int64_t cutoff_ts) {
   // leaves orphan objects, never a catalog entry naming a deleted object.
   LOGSTORE_RETURN_IF_ERROR(CheckpointCatalog());
   for (const auto& entry : expired) {
-    LOGSTORE_RETURN_IF_ERROR(catalog_store()->Delete(entry.object_key));
+    LOGSTORE_RETURN_IF_ERROR(retrying_store_->Delete(entry.object_key));
   }
   blocks_expired_ += expired.size();
   return static_cast<int>(expired.size());

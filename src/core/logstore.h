@@ -47,13 +47,13 @@ struct LogStoreOptions {
   bool simulate_object_latency = false;
   objectstore::SimulatedStoreOptions simulated;
   // Injects transient object-store faults (errors, short reads, latency
-  // spikes) for resilience testing; the retry layers in the engine and the
-  // data builder must absorb them.
+  // spikes) for resilience testing; the facade's retry layer must absorb
+  // them.
   bool inject_object_faults = false;
   objectstore::FaultInjectionOptions fault_options;
-  // Bounded retries for the facade's own catalog and expiration IO (the
-  // engine and data builder carry their own retry wrappers).
-  bool use_retry = true;
+  // Bounded retries of every object-store call the facade makes: catalog
+  // checkpoint and recovery, uploads, reads and expiry deletes all go
+  // through one RetryingObjectStore over the store chain above.
   objectstore::RetryOptions retry_options;
 
   query::EngineOptions engine;
@@ -133,6 +133,8 @@ class LogStore {
     return metadata_.TenantBytes(tenant);
   }
 
+  // The store chain beneath the retry layer (simulated latency and
+  // injected faults included).
   objectstore::ObjectStore* object_store() { return store_.get(); }
   query::QueryEngine* engine() { return engine_.get(); }
   logblock::LogBlockMap* metadata() { return &metadata_; }
@@ -147,14 +149,8 @@ class LogStore {
 
   LogStoreOptions options_;
   std::unique_ptr<objectstore::ObjectStore> store_;
-  // Retry wrapper around store_ for catalog/expire IO issued by the facade
-  // itself; catalog_store() returns store_.get() when retries are off.
-  std::unique_ptr<objectstore::RetryingObjectStore> retry_store_;
-  objectstore::ObjectStore* catalog_store() {
-    return retry_store_ != nullptr
-               ? static_cast<objectstore::ObjectStore*>(retry_store_.get())
-               : store_.get();
-  }
+  // The one retry layer over store_: every object-store call goes through it.
+  std::unique_ptr<objectstore::RetryingObjectStore> retrying_store_;
   std::unique_ptr<rowstore::RowStore> row_store_;
   logblock::LogBlockMap metadata_;
   std::unique_ptr<cluster::DataBuilder> builder_;

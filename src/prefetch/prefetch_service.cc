@@ -27,10 +27,8 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
     const std::string& object_key, uint64_t block_idx, uint64_t fetch_limit,
     uint64_t object_size) {
   while (true) {
-    if (cache_ != nullptr) {
-      if (auto block = cache_->Get(BlockKey(object_key, block_idx))) {
-        return block;
-      }
+    if (auto block = cache_->Get(BlockKey(object_key, block_idx))) {
+      return block;
     }
 
     // Claim a run of consecutive missing blocks starting at block_idx
@@ -46,8 +44,7 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
         fetch_done_.wait(lock, [&] {
           return in_flight_.count(BlockKey(object_key, block_idx)) == 0;
         });
-        if (cache_ != nullptr) continue;
-        // No cache to re-read from: fall through and fetch alone.
+        continue;
       }
       const uint64_t max_run = std::max<uint64_t>(
           1, std::min(fetch_limit,
@@ -55,7 +52,7 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
       while (run_len < max_run) {
         const std::string key = BlockKey(object_key, block_idx + run_len);
         if (in_flight_.count(key) != 0) break;
-        if (run_len > 0 && cache_ != nullptr && cache_->Contains(key)) break;
+        if (run_len > 0 && cache_->Contains(key)) break;
         in_flight_.insert(key);
         ++run_len;
       }
@@ -80,9 +77,7 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
         auto block =
             std::make_shared<const std::string>(bytes.substr(begin, len));
         if (b == 0) first_block = block;
-        if (cache_ != nullptr) {
-          cache_->Insert(BlockKey(object_key, block_idx + b), block);
-        }
+        cache_->Insert(BlockKey(object_key, block_idx + b), block);
       }
       if (first_block == nullptr) {
         first_block = std::make_shared<const std::string>();
@@ -108,8 +103,6 @@ Result<std::shared_ptr<const std::string>> PrefetchService::GetOrFetchBlock(
 void PrefetchService::Prefetch(uint64_t owner, const std::string& object_key,
                                const std::vector<ByteRange>& ranges,
                                uint64_t object_size) {
-  if (cache_ == nullptr) return;
-
   // Split: expand ranges to aligned block indices, dedup. Blocks wholly
   // past a known object end are dropped.
   std::set<uint64_t> blocks;
@@ -152,21 +145,6 @@ Result<std::string> PrefetchService::Read(const std::string& object_key,
                                           uint64_t offset, uint64_t size,
                                           uint64_t object_size) {
   if (size == 0) return std::string();
-
-  // Without a cache there is nothing to coalesce into: issue one exact
-  // ranged request (the serial unoptimized path).
-  if (cache_ == nullptr) {
-    fetches_issued_++;
-    auto data = store_->GetRange(object_key, offset, size);
-    if (!data.ok()) {
-      fetch_errors_++;
-      return data.status();
-    }
-    if (data->size() != size) {
-      return Status::IOError("short read: object smaller than range");
-    }
-    return data;
-  }
 
   const uint64_t first = offset / options_.block_size;
   const uint64_t last = (offset + size - 1) / options_.block_size;

@@ -38,8 +38,7 @@ struct PrefetchOptions {
 // blocking read of the same block issue one object-store request.
 class PrefetchService {
  public:
-  // `store` and `cache` must outlive the service. `cache` may be null
-  // (every read goes to the store; prefetch becomes a no-op).
+  // `store` and `cache` must outlive the service; `cache` must not be null.
   PrefetchService(objectstore::ObjectStore* store, cache::BlockManager* cache,
                   PrefetchOptions options = {});
   ~PrefetchService();

@@ -13,6 +13,12 @@ namespace logstore::query {
 
 namespace {
 
+// While up to query_threads blocks scan, the scheduler keeps this many
+// further blocks warming: their object heads (tar header + meta member) are
+// prefetched so opening the next reader is a cache hit instead of a cold
+// object-store round trip.
+constexpr size_t kPipelineDepth = 4;
+
 // Strict weak order over cell values: by type, then by the typed payload.
 // Total and placement-independent, so realtime rows sort the same no matter
 // which worker produced them.
@@ -301,18 +307,10 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   std::unique_ptr<QueryEngine> engine(new QueryEngine(store, options));
   metrics::MetricRegistry* registry = metrics::OrDefault(options.registry);
   engine->query_cells_.BindTo(registry);
-  // The nested option structs inherit the engine's registry unless the
+  // The nested cache options inherit the engine's registry unless the
   // caller already aimed them elsewhere.
-  if (engine->options_.retry_options.registry == nullptr) {
-    engine->options_.retry_options.registry = registry;
-  }
   if (engine->options_.cache_options.registry == nullptr) {
     engine->options_.cache_options.registry = registry;
-  }
-  if (options.use_retry) {
-    engine->retry_store_ = std::make_unique<objectstore::RetryingObjectStore>(
-        store, engine->options_.retry_options);
-    engine->store_ = engine->retry_store_.get();
   }
   if (options.use_cache) {
     // The memory tier gives each shard an equal share and drops any block
@@ -337,17 +335,16 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Open(
     engine->object_cache_ =
         std::make_unique<cache::LruCache<logblock::LogBlockReader>>(
             options.object_cache_bytes, &engine->object_cache_stats_);
+    // The aligned-read path over the block cache; an uncached engine reads
+    // through DirectObjectSource instead.
+    engine->prefetch_ = std::make_unique<prefetch::PrefetchService>(
+        store, engine->cache_.get(),
+        prefetch::PrefetchOptions{
+            .threads = options.prefetch_threads,
+            .block_size = options.io_block_size,
+            .max_coalesced_bytes = options.max_coalesced_bytes,
+            .registry = registry});
   }
-  // The prefetch service is also the aligned-read path when caching is on;
-  // without a cache it still provides the Read() API but each read goes to
-  // the store.
-  engine->prefetch_ = std::make_unique<prefetch::PrefetchService>(
-      engine->store_, engine->cache_.get(),
-      prefetch::PrefetchOptions{
-          .threads = options.prefetch_threads,
-          .block_size = options.io_block_size,
-          .max_coalesced_bytes = options.max_coalesced_bytes,
-          .registry = registry});
   if (options.query_threads > 1) {
     engine->query_pool_ = std::make_unique<ThreadPool>(options.query_threads);
   }
@@ -462,7 +459,7 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
   // prefetch thread, and heads a limit never opens, slow it down.
   std::atomic<size_t> warm_cursor{0};
   auto warm_ahead = [&](size_t upto) {
-    if (run_inline || cache_ == nullptr || !exec_options.use_prefetch) return;
+    if (run_inline || !exec_options.use_prefetch) return;
     upto = std::min(upto, n);
     size_t claimed = warm_cursor.load(std::memory_order_relaxed);
     while (claimed < upto && !warm_cursor.compare_exchange_weak(
@@ -475,8 +472,7 @@ Status QueryEngine::RunBlocks(const LogQuery& query,
     }
   };
   const size_t lookahead =
-      static_cast<size_t>(options_.query_threads) +
-      static_cast<size_t>(std::max(options_.pipeline_depth, 0));
+      static_cast<size_t>(options_.query_threads) + kPipelineDepth;
   warm_ahead(lookahead);
 
   // Records a block's outcome; a real failure stops the blocks after it.

@@ -16,7 +16,6 @@
 #include "logblock/logblock_map.h"
 #include "logblock/logblock_reader.h"
 #include "objectstore/object_store.h"
-#include "objectstore/retrying_object_store.h"
 #include "prefetch/prefetch_service.h"
 #include "query/block_executor.h"
 #include "query/predicate.h"
@@ -29,12 +28,6 @@ struct EngineOptions {
   bool use_cache = true;
   bool use_prefetch = true;
 
-  // Wrap the store with bounded retry + backoff so transient object-store
-  // failures (throttling, connection resets, truncated responses) are
-  // absorbed below the query instead of failing it.
-  bool use_retry = true;
-  objectstore::RetryOptions retry_options;
-
   // Parallel query execution (§5.2/Figure 17): LogBlocks of one query are
   // scanned concurrently by a per-engine pool of this many threads, with
   // results merged back in LogBlock-map order so output does not depend on
@@ -44,12 +37,9 @@ struct EngineOptions {
   // runs inline on the calling thread, in map order, as does every
   // one-block query; inline scans take no share of that budget.
   int query_threads = 8;
-  // While up to query_threads blocks scan, the scheduler keeps this many
-  // FURTHER blocks warming: their object heads (tar header + meta member)
-  // are prefetched so opening the next reader is a cache hit instead of a
-  // cold object-store round trip. Requires use_cache and a pool.
-  int pipeline_depth = 4;
 
+  // Fetch threads of the prefetch service, which exists only with
+  // use_cache.
   int prefetch_threads = 32;
   uint64_t io_block_size = 64 * 1024;
   // Adjacent-read coalescing cap (Figure 10's request merge); setting it
@@ -62,7 +52,7 @@ struct EngineOptions {
   uint64_t object_cache_bytes = 256ull << 20;
 
   // Registry receiving the engine's `query.*` aggregates (and, propagated
-  // into the nested cache/retry/prefetch options when those carry none, the
+  // into the nested cache/prefetch options when those carry none, the
   // whole read stack's); nullptr means the process-wide default.
   metrics::MetricRegistry* registry = nullptr;
 };
@@ -141,7 +131,9 @@ struct ReadContext {
 // skipping, multi-level caching, parallel prefetch.
 class QueryEngine {
  public:
-  // `store` must outlive the engine. Returns InvalidArgument when the cache
+  // `store` must outlive the engine. The engine reads it as given: a
+  // deployment that wants transient failures absorbed hands it a
+  // RetryingObjectStore. Returns InvalidArgument when the cache
   // is on and its memory tier has no shard, or is too small to hold one
   // io_block_size block in each of its memory_shards shards: such a tier
   // would cache nothing, and it feeds the SSD tier only through its
@@ -167,13 +159,8 @@ class QueryEngine {
                                              const std::string& name);
 
   cache::BlockManager* block_manager() { return cache_.get(); }
-  prefetch::PrefetchService* prefetch_service() { return prefetch_.get(); }
   // The block-scan pool; nullptr when query_threads <= 1.
   const ThreadPool* query_pool() const { return query_pool_.get(); }
-  // Retry/giveup counters of the read path; nullptr when use_retry is off.
-  const objectstore::RetryStats* retry_stats() const {
-    return retry_store_ == nullptr ? nullptr : &retry_store_->retry_stats();
-  }
   const EngineOptions& options() const { return options_; }
 
   // Drops all cached state (for cold-cache measurements).
@@ -198,11 +185,9 @@ class QueryEngine {
   Result<std::shared_ptr<logblock::LogBlockReader>> OpenReader(
       const std::string& object_key, uint64_t object_size);
 
-  // Effective store for all engine IO: the retry wrapper when enabled,
-  // otherwise the caller's store directly.
   objectstore::ObjectStore* store_;
-  std::unique_ptr<objectstore::RetryingObjectStore> retry_store_;
   EngineOptions options_;
+  // Both null without use_cache: reads then go straight to store_.
   std::unique_ptr<cache::BlockManager> cache_;
   std::unique_ptr<prefetch::PrefetchService> prefetch_;
   cache::CacheStats object_cache_stats_;

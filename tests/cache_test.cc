@@ -23,6 +23,12 @@ std::shared_ptr<const std::string> Block(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
 
+// A one-key lookup of the SSD tier, whose one lookup is GetBatch.
+std::shared_ptr<const std::string> SsdGet(SsdBlockCache& cache,
+                                          const std::string& key) {
+  return cache.GetBatch({key}).front();
+}
+
 TEST(LruCacheTest, InsertGetErase) {
   LruCache<const std::string> cache(1000);
   cache.Insert("a", Block("aaa"), 3);
@@ -84,15 +90,19 @@ TEST(LruCacheTest, StatsTrackHitsMisses) {
 }
 
 TEST(LruCacheTest, EvictionCallbackFires) {
-  LruCache<const std::string> cache(4);
+  LruCache<const std::string> cache(8);
   std::vector<std::string> evicted;
-  cache.set_eviction_callback(
-      [&](const std::string& key, const std::shared_ptr<const std::string>&,
-          uint64_t) { evicted.push_back(key); });
+  cache.set_batch_eviction_callback(
+      [&](std::vector<LruCache<const std::string>::Evicted>&& victims) {
+        for (const auto& victim : victims) evicted.push_back(victim.key);
+      });
   cache.Insert("a", Block("aaaa"), 4);
   cache.Insert("b", Block("bbbb"), 4);
-  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_TRUE(evicted.empty());
+  cache.Insert("c", Block("cccccccc"), 8);  // one insert evicts a, then b
+  ASSERT_EQ(evicted.size(), 2u);
   EXPECT_EQ(evicted[0], "a");
+  EXPECT_EQ(evicted[1], "b");
 }
 
 // Regression: the eviction callback used to run while the cache mutex was
@@ -101,14 +111,15 @@ TEST(LruCacheTest, EvictionCallbackFires) {
 TEST(LruCacheTest, EvictionCallbackMayReenterCache) {
   LruCache<const std::string> cache(8);
   std::vector<std::string> evicted;
-  cache.set_eviction_callback(
-      [&](const std::string& key, const std::shared_ptr<const std::string>&,
-          uint64_t) {
-        evicted.push_back(key);
-        // Re-entrant reads and writes: both took the mutex recursively
-        // before the fix.
-        (void)cache.Get(key);
-        cache.Insert("reentrant-" + key, Block("r"), 1);
+  cache.set_batch_eviction_callback(
+      [&](std::vector<LruCache<const std::string>::Evicted>&& victims) {
+        for (const auto& victim : victims) {
+          evicted.push_back(victim.key);
+          // Re-entrant reads and writes: both took the mutex recursively
+          // before the fix.
+          (void)cache.Get(victim.key);
+          cache.Insert("reentrant-" + victim.key, Block("r"), 1);
+        }
       });
   cache.Insert("a", Block("aaaa"), 4);
   cache.Insert("b", Block("bbbb"), 4);
@@ -208,10 +219,10 @@ TEST_F(SsdCacheTest, RoundTrip) {
   auto cache = SsdBlockCache::Open(dir_.string(), 1 << 20);
   ASSERT_TRUE(cache.ok());
   (*cache)->Insert("obj#0", "block-zero-bytes");
-  auto got = (*cache)->Get("obj#0");
+  auto got = SsdGet(**cache, "obj#0");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "block-zero-bytes");
-  EXPECT_EQ((*cache)->Get("obj#1"), nullptr);
+  EXPECT_EQ(SsdGet(**cache, "obj#1"), nullptr);
   EXPECT_EQ((*cache)->entry_count(), 1u);
 }
 
@@ -220,8 +231,8 @@ TEST_F(SsdCacheTest, EvictsOverCapacity) {
   ASSERT_TRUE(cache.ok());
   (*cache)->Insert("a", std::string(60, 'a'));
   (*cache)->Insert("b", std::string(60, 'b'));  // 120 > 100: evict a
-  EXPECT_EQ((*cache)->Get("a"), nullptr);
-  ASSERT_NE((*cache)->Get("b"), nullptr);
+  EXPECT_EQ(SsdGet(**cache, "a"), nullptr);
+  ASSERT_NE(SsdGet(**cache, "b"), nullptr);
   EXPECT_LE((*cache)->used_bytes(), 100u);
 }
 
@@ -254,6 +265,14 @@ TEST_F(SsdCacheTest, BlockManagerSpillsToSsdAndPromotes) {
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(*a, std::string(40, 'a'));
   EXPECT_EQ((*manager)->ssd_stats().hits.load(), 1u);
+
+  // Each lookup counts exactly one memory hit or miss, whatever the SSD
+  // tier answers.
+  ASSERT_NE((*manager)->Get("a"), nullptr);
+  EXPECT_EQ((*manager)->Get("missing"), nullptr);
+  EXPECT_EQ((*manager)->memory_stats().hits.load(), 1u);
+  EXPECT_EQ((*manager)->memory_stats().misses.load(), 2u);
+  EXPECT_EQ((*manager)->ssd_stats().misses.load(), 1u);
 }
 
 // Regression: cache files are named by a hash of the key; two colliding
@@ -276,30 +295,30 @@ TEST_F(SsdCacheTest, HashCollisionsDoNotServeWrongBytes) {
   }
 
   (*cache)->Insert(first, "bytes-of-first");
-  ASSERT_NE((*cache)->Get(first), nullptr);
+  ASSERT_NE(SsdGet(**cache, first), nullptr);
   (*cache)->Insert(second, "bytes-of-second");
 
   // `first`'s file was overwritten: it must read as a miss, never as
   // `second`'s bytes.
-  EXPECT_EQ((*cache)->Get(first), nullptr);
-  auto got = (*cache)->Get(second);
+  EXPECT_EQ(SsdGet(**cache, first), nullptr);
+  auto got = SsdGet(**cache, second);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "bytes-of-second");
   EXPECT_EQ((*cache)->entry_count(), 1u);
 
   // Evicting/overwriting `second` must not resurrect `first`.
   (*cache)->Insert(first, "fresh-first");
-  got = (*cache)->Get(first);
+  got = SsdGet(**cache, first);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "fresh-first");
-  EXPECT_EQ((*cache)->Get(second), nullptr);
+  EXPECT_EQ(SsdGet(**cache, second), nullptr);
 }
 
 TEST_F(SsdCacheTest, TamperedFileReadsAsMiss) {
   auto cache = SsdBlockCache::Open(dir_.string(), 1 << 20);
   ASSERT_TRUE(cache.ok());
   (*cache)->Insert("obj#7", "block-bytes");
-  ASSERT_NE((*cache)->Get("obj#7"), nullptr);
+  ASSERT_NE(SsdGet(**cache, "obj#7"), nullptr);
 
   // Corrupt the header of the single cache file on disk.
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -310,11 +329,11 @@ TEST_F(SsdCacheTest, TamperedFileReadsAsMiss) {
     file.write("XXXX", 4);  // clobber the magic
   }
 
-  EXPECT_EQ((*cache)->Get("obj#7"), nullptr);
+  EXPECT_EQ(SsdGet(**cache, "obj#7"), nullptr);
   // The stale index entry is dropped; later inserts work normally.
   EXPECT_EQ((*cache)->entry_count(), 0u);
   (*cache)->Insert("obj#7", "replacement");
-  auto got = (*cache)->Get("obj#7");
+  auto got = SsdGet(**cache, "obj#7");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "replacement");
 }
@@ -392,7 +411,7 @@ TEST_F(SsdCacheTest, ParallelGetsDoNotSerializeOrCorrupt) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
         const int k = (t * 37 + i) % kKeys;
-        auto got = (*cache)->Get("key-" + std::to_string(k));
+        auto got = SsdGet(**cache, "key-" + std::to_string(k));
         if (got == nullptr || *got != payloads[k]) wrong.fetch_add(1);
       }
     });
@@ -427,8 +446,8 @@ TEST_F(SsdCacheTest, InsertBatchReadsBackWithOneRangedRead) {
   }
   EXPECT_EQ((*cache)->ranged_reads(), 1u);
 
-  // Single-key Get still works against a run file.
-  auto single = (*cache)->Get("obj#3");
+  // A one-key lookup still works against a run file.
+  auto single = SsdGet(**cache, "obj#3");
   ASSERT_NE(single, nullptr);
   EXPECT_EQ(*single, std::string(512, 'd'));
 }

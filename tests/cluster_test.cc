@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -18,6 +20,7 @@
 #include "common/metrics.h"
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
+#include "objectstore/retrying_object_store.h"
 #include "reference_query.h"
 #include "workload/loggen.h"
 #include "workload/zipfian.h"
@@ -34,6 +37,60 @@ RowBatch OneRow(uint64_t tenant, int64_t ts, const std::string& log) {
                 Value::String("10.0.0.1"), Value::Int64(5),
                 Value::String("false"), Value::String(log)});
   return batch;
+}
+
+// Fails the first Put of every key, and the first Delete, once each with a
+// transient IOError; every other call passes through to `base`.
+class FlakyMutationStore : public objectstore::ObjectStore {
+ public:
+  explicit FlakyMutationStore(objectstore::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, const Slice& data) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (failed_puts_.insert(key).second) {
+        return Status::IOError("injected transient Put failure: " + key);
+      }
+    }
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    return base_->GetRange(key, offset, length);
+  }
+  Result<uint64_t> Head(const std::string& key) override {
+    return base_->Head(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override {
+    if (!delete_failed_.exchange(true)) {
+      return Status::IOError("injected transient Delete failure: " + key);
+    }
+    return base_->Delete(key);
+  }
+  objectstore::ObjectStoreStats& stats() override { return base_->stats(); }
+
+ private:
+  objectstore::ObjectStore* base_;
+  std::mutex mu_;
+  std::set<std::string> failed_puts_;  // guarded by mu_
+  std::atomic<bool> delete_failed_{false};
+};
+
+// The `objectstore.retry.*` cells of `registry`, by name.
+std::map<std::string, uint64_t> RetryCells(metrics::MetricRegistry* registry) {
+  std::map<std::string, uint64_t> cells;
+  for (const char* name :
+       {"objectstore.retry.attempts", "objectstore.retry.retries",
+        "objectstore.retry.giveups", "objectstore.retry.short_reads"}) {
+    cells[name] = registry->Counter(name)->load();
+  }
+  return cells;
 }
 
 TEST(DataBuilderTest, BuildsPerTenantBlocks) {
@@ -123,8 +180,9 @@ void ExpectSameEntries(const std::vector<logblock::LogBlockEntry>& actual,
 TEST(DataBuilderTest, FailedUploadRegistersNothing) {
   objectstore::MemoryObjectStore backend;
   objectstore::FaultInjectingObjectStore store(&backend, {});
+  objectstore::RetryingObjectStore retrying(&store);
   logblock::LogBlockMap map;
-  DataBuilder builder(&store, &map);
+  DataBuilder builder(&retrying, &map);
   rowstore::RowStore rows(logblock::RequestLogSchema());
   workload::LogGenerator gen(8);
   rows.Append(1, gen.Generate(1, 1000, 0, 1000));
@@ -160,13 +218,14 @@ TEST(DataBuilderTest, BrownoutFailsPassAfterOneJobPerExecutor) {
   objectstore::MemoryObjectStore backend;
   objectstore::FaultInjectingObjectStore store(&backend, {});
   store.SetBrownout(0, std::numeric_limits<int64_t>::max());
+  objectstore::RetryOptions retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff_us = 100;
+  retry.max_backoff_us = 1000;
+  retry.registry = &registry;
+  objectstore::RetryingObjectStore retrying(&store, retry);
   logblock::LogBlockMap map;
-  DataBuilderOptions options;
-  options.retry_options.max_attempts = 3;
-  options.retry_options.initial_backoff_us = 100;
-  options.retry_options.max_backoff_us = 1000;
-  options.retry_options.registry = &registry;
-  DataBuilder builder(&store, &map, options);
+  DataBuilder builder(&retrying, &map);
   rowstore::RowStore rows(logblock::RequestLogSchema());
   workload::LogGenerator gen(9);
   constexpr uint64_t kTenants = 64;
@@ -287,6 +346,42 @@ TEST(DataBuilderTest, ParallelPassMatchesSerialOracle) {
     EXPECT_TRUE(*store_a.Get(key) == *store_b.Get(key)) << key;
   }
   EXPECT_EQ(builder_b.ArchivedKeys(), keys);
+}
+
+// Every upload of a cluster's build pass goes through the cluster's one
+// retry layer and counts in the cluster's registry, not the process-wide
+// default.
+TEST(DataBuilderTest, ClusterBuildPassRetriesCountInTheClusterRegistry) {
+  metrics::MetricRegistry registry;
+  objectstore::MemoryObjectStore memory;
+  FlakyMutationStore store(&memory);
+  ClusterDeploymentOptions options;
+  options.num_workers = 2;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  options.registry = &registry;
+  auto cluster = Cluster::Open(&store, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  workload::LogGenerator gen(31);
+  for (uint64_t tenant = 1; tenant <= 4; ++tenant) {
+    ASSERT_TRUE(
+        (*cluster)->Write(tenant, gen.Generate(tenant, 50, 0, 1000)).ok());
+  }
+
+  const auto default_before = RetryCells(metrics::MetricRegistry::Default());
+  auto built = (*cluster)->RunBuildPass();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_GT(*built, 0);
+  const uint64_t blocks = static_cast<uint64_t>(*built);
+  EXPECT_EQ(memory.object_count(), blocks);
+  // Each upload failed once and was retried once.
+  const auto cells = RetryCells(&registry);
+  EXPECT_EQ(cells.at("objectstore.retry.attempts"), 2 * blocks);
+  EXPECT_EQ(cells.at("objectstore.retry.retries"), blocks);
+  EXPECT_EQ(cells.at("objectstore.retry.giveups"), 0u);
+  EXPECT_EQ(RetryCells(metrics::MetricRegistry::Default()), default_before);
 }
 
 TEST(ControllerTest, InitialRoutesViaConsistentHash) {
@@ -513,6 +608,38 @@ TEST(ClusterExpiryTest, ExpiryFencesAnOverlappingRead) {
   reference::ExpectMatchesReference(
       reference::Evaluate({{1, fresh}}, query), query, *retried, "retry");
   EXPECT_EQ(retried->rows.size(), 7u);
+}
+
+// Expiry deletes go through the cluster's retry layer: a transient Delete
+// failure is retried, so the expired object leaves the store instead of
+// staying behind with nothing pointing to it.
+TEST(ClusterExpiryTest, TransientDeleteFailureIsRetried) {
+  metrics::MetricRegistry registry;
+  objectstore::MemoryObjectStore memory;
+  FlakyMutationStore store(&memory);
+  ClusterDeploymentOptions options;
+  options.num_workers = 1;
+  options.shards_per_worker = 2;
+  options.worker.schema = logblock::RequestLogSchema();
+  options.engine.prefetch_threads = 2;
+  options.engine.cache_options.ssd_dir.clear();
+  options.registry = &registry;
+  auto cluster = Cluster::Open(&store, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_TRUE((*cluster)->Write(5, OneRow(5, 100, "expiring")).ok());
+  auto built = (*cluster)->RunBuildPass();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(*built, 1);
+  ASSERT_EQ(memory.object_count(), 1u);
+
+  const uint64_t retries_before =
+      registry.Counter("objectstore.retry.retries")->load();
+  auto expired = (*cluster)->ExpireTenantData(5, 1000);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(*expired, 1);
+  EXPECT_EQ(memory.object_count(), 0u);
+  EXPECT_EQ(registry.Counter("objectstore.retry.retries")->load(),
+            retries_before + 1);
 }
 
 // Each write draws once from the broker's Random(12345) and picks its

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 #include "common/metrics.h"
 #include "core/logstore.h"
@@ -256,7 +257,7 @@ TEST(LogStoreTest, FailedExpireCheckpointDeletesNothing) {
   std::filesystem::remove_all(dir);
   LogStoreOptions options = SmallOptions();
   options.storage_dir = dir.string();
-  options.use_retry = false;
+  options.retry_options.max_attempts = 1;  // the catalog Put fails at once
   {
     LogStoreOptions faulty = options;
     faulty.inject_object_faults = true;
@@ -291,6 +292,46 @@ TEST(LogStoreTest, FailedExpireCheckpointDeletesNothing) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->rows.empty());
   std::filesystem::remove_all(dir);
+}
+
+// Every object-store call of a Flush, the LogBlock upload and the catalog
+// checkpoint alike, goes through the facade's one retry layer and counts in
+// the facade's registry, not the process-wide default.
+TEST(LogStoreTest, FlushRetriesCountInTheFacadeRegistry) {
+  metrics::MetricRegistry registry;
+  LogStoreOptions options = SmallOptions();
+  options.registry = &registry;
+  options.inject_object_faults = true;
+  options.fault_options.error_rate = 0.5;
+  options.fault_options.seed = 1;
+  options.retry_options.max_attempts = 16;
+  options.retry_options.initial_backoff_us = 10;
+  options.retry_options.max_backoff_us = 100;
+  auto db = LogStore::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->Append(1, OneRow(1, 10, "a", 1, "false", "x")).ok());
+
+  auto cell = [&](const char* name) { return registry.Counter(name)->load(); };
+  auto default_cells = [] {
+    metrics::MetricRegistry* global = metrics::MetricRegistry::Default();
+    return std::vector<uint64_t>{
+        global->Counter("objectstore.retry.attempts")->load(),
+        global->Counter("objectstore.retry.retries")->load(),
+        global->Counter("objectstore.retry.giveups")->load()};
+  };
+  const auto default_before = default_cells();
+  const uint64_t faults_before = cell("objectstore.fault.injected_errors");
+  const uint64_t retries_before = cell("objectstore.retry.retries");
+  auto flushed = (*db)->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  EXPECT_EQ(*flushed, 1);
+  const uint64_t faults = cell("objectstore.fault.injected_errors") -
+                          faults_before;
+  EXPECT_GT(faults, 0u);
+  // One retry per injected failure, all of them in the facade's registry.
+  EXPECT_EQ(cell("objectstore.retry.retries") - retries_before, faults);
+  EXPECT_EQ(cell("objectstore.retry.giveups"), 0u);
+  EXPECT_EQ(default_cells(), default_before);
 }
 
 // query.* is recorded once per answered query, after the realtime merge:

@@ -22,6 +22,7 @@
 #include "logblock/logblock_reader.h"
 #include "objectstore/fault_injecting_object_store.h"
 #include "objectstore/memory_object_store.h"
+#include "objectstore/retrying_object_store.h"
 #include "objectstore/simulated_object_store.h"
 #include "query/engine.h"
 #include "reference_query.h"
@@ -143,11 +144,13 @@ TEST_P(ParallelQueryTest, MatchesReferenceUnderTransientFaults) {
   faults.short_read_rate = 0.02;
   faults.seed = 1000 + static_cast<uint64_t>(GetParam());
   objectstore::FaultInjectingObjectStore flaky(store_.get(), faults);
+  objectstore::RetryOptions retry;
+  retry.max_attempts = 8;
+  retry.initial_backoff_us = 100;
+  retry.max_backoff_us = 1000;
+  objectstore::RetryingObjectStore retrying(&flaky, retry);
 
   EngineOptions options = Options(8);
-  options.retry_options.max_attempts = 8;
-  options.retry_options.initial_backoff_us = 100;
-  options.retry_options.max_backoff_us = 1000;
 
   workload::QueryGenerator qgen(static_cast<uint64_t>(GetParam()));
   const uint64_t tenant = static_cast<uint64_t>(GetParam()) % 3;
@@ -158,7 +161,7 @@ TEST_P(ParallelQueryTest, MatchesReferenceUnderTransientFaults) {
       const std::string label = "faulty limit=" + std::to_string(limit);
       auto clean = Run(store_.get(), Options(1), query);
       ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-      auto faulty = Run(&flaky, options, query);
+      auto faulty = Run(&retrying, options, query);
       ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
       reference::ExpectMatchesReference(reference::Evaluate(data_, query),
                                         query, *faulty, label);
@@ -177,9 +180,7 @@ TEST_F(ParallelQueryTest, CancellationUnderErrorDoesNotHangOrPoison) {
   ASSERT_GT(blocks.size(), 2u);
   flaky.BlacklistKey(blocks[blocks.size() / 2].object_key);
 
-  EngineOptions options = Options(8);
-  options.use_retry = false;  // fail fast; retry policy is tested elsewhere
-  auto engine = QueryEngine::Open(&flaky, options);
+  auto engine = QueryEngine::Open(&flaky, Options(8));
   ASSERT_TRUE(engine.ok());
 
   LogQuery query;
@@ -223,12 +224,10 @@ TEST_F(ParallelQueryTest, FailurePastTheCutDoesNotFailTheQuery) {
   reference::ExpectMatchesReference(reference::Evaluate(data_, query), query,
                                     *clean, "clean");
   for (int threads : {1, 4, 8}) {
-    EngineOptions options = Options(threads);
-    options.use_retry = false;
     for (int run = 0; run < 10; ++run) {
       const std::string label = "threads=" + std::to_string(threads) +
                                 " run=" + std::to_string(run);
-      auto result = Run(&oss, options, query);
+      auto result = Run(&oss, Options(threads), query);
       ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
       ExpectIdentical(*clean, *result, label);
     }

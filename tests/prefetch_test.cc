@@ -274,17 +274,6 @@ TEST_F(PrefetchServiceTest, ConcurrentReadersOfSameRunFetchOnce) {
   EXPECT_EQ(service.fetch_errors(), 0u);
 }
 
-TEST_F(PrefetchServiceTest, WorksWithoutCache) {
-  ASSERT_TRUE(store_->Put("obj", "abcdefgh").ok());
-  PrefetchService service(store_.get(), nullptr,
-                          {.threads = 2, .block_size = 4});
-  auto got = service.Read("obj", 2, 4);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "cdef");
-  service.Prefetch("obj", {{0, 8}});  // no-op, must not crash
-  service.WaitIdle();
-}
-
 TEST_F(PrefetchServiceTest, CachedSourceServesLogBlocks) {
   // End-to-end: build a LogBlock, upload, read through the cached source.
   logblock::RowBatch batch(logblock::RequestLogSchema());

@@ -711,7 +711,6 @@ TEST(QueryPoolFairnessTest, NarrowTenantIsReadBeforeWideBacklog) {
   EngineOptions options;
   options.query_threads = 2;
   options.use_cache = false;
-  options.use_retry = false;
   auto engine = QueryEngine::Open(&store, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const ThreadPool* pool = (*engine)->query_pool();

@@ -414,11 +414,16 @@ class FaultEndToEndTest : public ::testing::Test {
     options.io_block_size = 4096;
     options.cache_options.memory_capacity_bytes = 8 << 20;
     options.cache_options.ssd_dir.clear();
-    // 20% error rate with 8 attempts: giveup odds per call ~0.2^8.
-    options.retry_options.max_attempts = 8;
-    options.retry_options.initial_backoff_us = 50;
-    options.retry_options.max_backoff_us = 1000;
     return options;
+  }
+
+  // 20% error rate with 8 attempts: giveup odds per call ~0.2^8.
+  static objectstore::RetryOptions EightAttempts() {
+    objectstore::RetryOptions retry;
+    retry.max_attempts = 8;
+    retry.initial_backoff_us = 50;
+    retry.max_backoff_us = 1000;
+    return retry;
   }
 
   std::unique_ptr<objectstore::MemoryObjectStore> store_;
@@ -445,18 +450,18 @@ TEST_F(FaultEndToEndTest, ScanSurvivesInjectedGetRangeFailures) {
   // them, and a run of 6 or fewer meets no fault. Demand reads alone are
   // the same reads on every run, more than 6 of them, so a fault is
   // certain.
+  objectstore::RetryingObjectStore retrying(&faulty, EightAttempts());
   EngineOptions options = FaultTolerantOptions();
   options.use_prefetch = false;
-  auto engine = QueryEngine::Open(&faulty, options);
+  auto engine = QueryEngine::Open(&retrying, options);
   ASSERT_TRUE(engine.ok());
   auto result = (*engine)->Execute(FullScan(), map_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(Flatten(*result), Flatten(*expected));
 
-  const objectstore::RetryStats* stats = (*engine)->retry_stats();
-  ASSERT_NE(stats, nullptr);
-  EXPECT_GT(stats->retries.load(), 0u);
-  EXPECT_EQ(stats->giveups.load(), 0u);
+  const objectstore::RetryStats& stats = retrying.retry_stats();
+  EXPECT_GT(stats.retries.load(), 0u);
+  EXPECT_EQ(stats.giveups.load(), 0u);
   EXPECT_GT(faulty.fault_stats().injected_errors.load(), 0u);
 }
 
@@ -466,15 +471,13 @@ TEST_F(FaultEndToEndTest, DataBuilderUploadsSurviveInjectedPutFailures) {
   faults.seed = 31;
   objectstore::MemoryObjectStore clean;
   objectstore::FaultInjectingObjectStore faulty(&clean, faults);
+  objectstore::RetryingObjectStore retrying(&faulty, EightAttempts());
 
   logblock::LogBlockMap map;
   cluster::DataBuilderOptions options;
   options.max_rows_per_logblock = 1000;
   options.block_options.rows_per_block = 128;
-  options.retry_options.max_attempts = 8;
-  options.retry_options.initial_backoff_us = 50;
-  options.retry_options.max_backoff_us = 1000;
-  cluster::DataBuilder builder(&faulty, &map, options);
+  cluster::DataBuilder builder(&retrying, &map, options);
 
   rowstore::RowStore rows(logblock::RequestLogSchema());
   workload::LogGenerator gen(23);
@@ -484,10 +487,9 @@ TEST_F(FaultEndToEndTest, DataBuilderUploadsSurviveInjectedPutFailures) {
   EXPECT_EQ(*built, 4);
   EXPECT_EQ(clean.object_count(), 4u);  // all uploads landed despite faults
 
-  const objectstore::RetryStats* stats = builder.retry_stats();
-  ASSERT_NE(stats, nullptr);
-  EXPECT_GT(stats->retries.load(), 0u);
-  EXPECT_EQ(stats->giveups.load(), 0u);
+  const objectstore::RetryStats& stats = retrying.retry_stats();
+  EXPECT_GT(stats.retries.load(), 0u);
+  EXPECT_EQ(stats.giveups.load(), 0u);
 }
 
 }  // namespace

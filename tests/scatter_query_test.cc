@@ -335,10 +335,10 @@ TEST(ScatterBrownoutTest, BrownoutIsRetryableNotPartial) {
   options.engine.cache_options.ssd_dir.clear();
   // Short read-retry budget: a brownout outlasting the call deadline must
   // surface instead of being retried through.
-  options.engine.retry_options.max_attempts = 2;
-  options.engine.retry_options.initial_backoff_us = 5'000;
-  options.engine.retry_options.max_backoff_us = 20'000;
-  options.engine.retry_options.call_deadline_us = 100'000;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_us = 5'000;
+  options.retry.max_backoff_us = 20'000;
+  options.retry.call_deadline_us = 100'000;
   auto opened = Cluster::Open(&store, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Cluster> cluster = std::move(opened).value();

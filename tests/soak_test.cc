@@ -126,19 +126,15 @@ class SoakTest : public ::testing::Test {
     cluster_ = std::move(cluster).value();
   }
 
-  // Shrinks the engine/builder object-store retry budgets so a brownout
+  // Shrinks the deployment's object-store retry budget so a brownout
   // longer than the deadline surfaces as kUnavailable instead of being
   // silently retried through (the default 5 s call deadline would wait out
   // any test-sized brownout).
   static void ShortRetryDeadlines(ClusterDeploymentOptions* options) {
-    for (objectstore::RetryOptions* retry :
-         {&options->engine.retry_options,
-          &options->worker.builder.retry_options}) {
-      retry->max_attempts = 2;
-      retry->initial_backoff_us = 5'000;
-      retry->max_backoff_us = 20'000;
-      retry->call_deadline_us = 100'000;
-    }
+    options->retry.max_attempts = 2;
+    options->retry.initial_backoff_us = 5'000;
+    options->retry.max_backoff_us = 20'000;
+    options->retry.call_deadline_us = 100'000;
   }
 
   // The worker currently serving `tenant` (first shard of its route).
